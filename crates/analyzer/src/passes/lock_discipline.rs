@@ -40,11 +40,10 @@ use crate::source::SourceFile;
 
 /// Calls that park the current thread for macroscopic time: backend
 /// dispatch, worker-pool fan-out, socket/buffered-reader I/O.
-const BLOCKING: [(&str, &str); 12] = [
+const BLOCKING: [(&str, &str); 11] = [
     (".dispatch(", "a backend dispatch"),
     (".try_dispatch(", "a backend dispatch"),
     ("pool::run(", "a worker-pool fan-out"),
-    ("run_workers(", "a worker-pool fan-out"),
     (".write_all(", "socket I/O"),
     (".flush(", "socket I/O"),
     (".read_line(", "socket I/O"),

@@ -1,5 +1,4 @@
-//! Kernel roofline sweep: scalar vs SIMD vs cache-blocked (see
-//! DESIGN.md §11).
+//! Kernel roofline sweep: scalar vs SIMD (see DESIGN.md §11).
 //!
 //! `--check` runs the CI smoke mode (bitwise tier agreement, run-to-run
 //! determinism, a loose SIMD-speedup floor) instead of the timed sweep;
@@ -7,51 +6,33 @@
 //! fixed-lane mirror (the non-AVX2 leg); `--out PATH` overrides where
 //! the JSON lands (default `BENCH_kernels.json`).
 
-use sgd_bench::kernels::{check, rows, to_json, KernelBenchOpts};
+use sgd_bench::cli::sweep_main;
+use sgd_bench::kernels::{check, render, rows, to_json, KernelBenchOpts};
 
 fn main() {
-    let mut do_check = false;
-    let mut opts = KernelBenchOpts::default();
-    let mut out_path = String::from("BENCH_kernels.json");
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => do_check = true,
-            "--force-portable" => opts.force_portable = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
+    sweep_main(
+        "kernels",
+        "BENCH_kernels.json",
+        |rest| {
+            let mut opts = KernelBenchOpts::default();
+            for arg in rest {
+                match arg.as_str() {
+                    "--force-portable" => opts.force_portable = true,
+                    other => {
+                        return Err(format!("unknown flag {other}\nflags: [--force-portable]"))
+                    }
                 }
-            },
-            other => {
-                eprintln!("unknown flag {other}\nflags: [--check] [--force-portable] [--out PATH]");
-                std::process::exit(2);
             }
-        }
-    }
-
-    if do_check {
-        match check(&opts) {
-            Ok(()) => println!(
-                "kernels --check: tiers bitwise-consistent{}",
-                if opts.force_portable { " (portable leg)" } else { "" }
-            ),
-            Err(msg) => {
-                eprintln!("kernels --check failed: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let rows = rows(&opts, 0.02);
-    print!("{}", sgd_bench::kernels::render(&rows));
-    let json = to_json(&rows, &opts);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+            Ok(opts)
+        },
+        |opts| {
+            check(&opts)?;
+            let leg = if opts.force_portable { " (portable leg)" } else { "" };
+            Ok(format!("tiers bitwise-consistent{leg}"))
+        },
+        |opts| {
+            let rows = rows(&opts, 0.02);
+            (render(&rows), to_json(&rows, &opts))
+        },
+    );
 }

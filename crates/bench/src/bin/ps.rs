@@ -7,58 +7,27 @@
 //! contrast, and death+rejoin convergence) instead of the full sweep;
 //! `--out PATH` overrides where the JSON lands (default `BENCH_ps.json`).
 
-use sgd_bench::cli::ExperimentConfig;
+use sgd_bench::cli::{sweep_main, ExperimentConfig};
+use sgd_bench::ps::{check, render, rows, to_json};
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_ps.json");
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(arg),
-        }
-    }
-    let mut cfg = match ExperimentConfig::from_args(rest) {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}\nextra flags: [--check] [--out PATH]");
-            std::process::exit(2);
-        }
-    };
-
-    if check {
-        cfg.datasets = vec!["w8a".into()];
-        match sgd_bench::ps::check(&cfg) {
-            Ok(()) => println!(
-                "ps --check: sweep bit-deterministic, 1-worker sync matches single-node \
-                 bitwise, async absorbs the straggler, death+rejoin converges"
-            ),
-            Err(msg) => {
-                eprintln!("ps --check failed: {msg}");
-                std::process::exit(1);
+    sweep_main(
+        "ps",
+        "BENCH_ps.json",
+        ExperimentConfig::from_args,
+        |mut cfg| {
+            cfg.datasets = vec!["w8a".into()];
+            check(&cfg)?;
+            Ok("sweep bit-deterministic, 1-worker sync matches single-node bitwise, \
+                async absorbs the straggler, death+rejoin converges"
+                .into())
+        },
+        |mut cfg| {
+            if cfg.datasets.is_empty() {
+                cfg.datasets = vec!["covtype".into(), "rcv1".into()];
             }
-        }
-        return;
-    }
-
-    if cfg.datasets.is_empty() {
-        cfg.datasets = vec!["covtype".into(), "rcv1".into()];
-    }
-    let rows = sgd_bench::ps::rows(&cfg);
-    print!("{}", sgd_bench::ps::render(&rows));
-    let json = sgd_bench::ps::to_json(&rows);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+            let rows = rows(&cfg);
+            (render(&rows), to_json(&rows))
+        },
+    );
 }

@@ -7,60 +7,29 @@
 //! workload; `--out PATH` overrides where the JSON lands (default
 //! `BENCH_router.json`).
 
-use sgd_bench::cli::ExperimentConfig;
+use sgd_bench::cli::{sweep_main, ExperimentConfig};
+use sgd_bench::router::{check, render, rows, to_json};
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_router.json");
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(arg),
-        }
-    }
-    let mut cfg = match ExperimentConfig::from_args(rest) {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}\nextra flags: [--check] [--out PATH]");
-            std::process::exit(2);
-        }
-    };
-
-    if check {
-        // `router::check` pins its own mixed sparse + dense workload.
-        match sgd_bench::router::check(&cfg) {
-            Ok(()) => println!(
-                "router --check: deterministic, within 5% of best fixed everywhere, \
-                 beats the best single fixed backend"
-            ),
-            Err(msg) => {
-                eprintln!("router --check failed: {msg}");
-                std::process::exit(1);
+    sweep_main(
+        "router",
+        "BENCH_router.json",
+        ExperimentConfig::from_args,
+        |cfg| {
+            // `router::check` pins its own mixed sparse + dense workload.
+            check(&cfg)?;
+            Ok("deterministic, within 5% of best fixed everywhere, \
+                beats the best single fixed backend"
+                .into())
+        },
+        |mut cfg| {
+            // Default to the same mixed workload the CI gate uses: the
+            // paper's dense profile plus a launch-dominated sparse one.
+            if cfg.datasets.is_empty() {
+                cfg.datasets = vec!["w8a".into(), "covtype".into()];
             }
-        }
-        return;
-    }
-
-    // Default to the same mixed workload the CI gate uses: the paper's
-    // dense profile plus a launch-dominated sparse one.
-    if cfg.datasets.is_empty() {
-        cfg.datasets = vec!["w8a".into(), "covtype".into()];
-    }
-    let rows = sgd_bench::router::rows(&cfg);
-    print!("{}", sgd_bench::router::render(&rows));
-    let json = sgd_bench::router::to_json(&rows);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+            let rows = rows(&cfg);
+            (render(&rows), to_json(&rows))
+        },
+    );
 }

@@ -6,58 +6,26 @@
 //! timed sweep; `--out PATH` overrides where the JSON lands (default
 //! `BENCH_serve.json`).
 
-use sgd_bench::cli::ExperimentConfig;
+use sgd_bench::cli::{sweep_main, ExperimentConfig};
+use sgd_bench::serve::{check, render, rows, to_json};
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_serve.json");
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(arg),
-        }
-    }
-    let mut cfg = match ExperimentConfig::from_args(rest) {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}\nextra flags: [--check] [--out PATH]");
-            std::process::exit(2);
-        }
-    };
-
-    if check {
-        cfg.datasets = vec!["w8a".into()];
-        match sgd_bench::serve::check(&cfg) {
-            Ok(()) => println!(
-                "serve --check: deterministic, batching wins, checkpoint round trip bit-exact"
-            ),
-            Err(msg) => {
-                eprintln!("serve --check failed: {msg}");
-                std::process::exit(1);
+    sweep_main(
+        "serve",
+        "BENCH_serve.json",
+        ExperimentConfig::from_args,
+        |mut cfg| {
+            cfg.datasets = vec!["w8a".into()];
+            check(&cfg)?;
+            Ok("deterministic, batching wins, checkpoint round trip bit-exact".into())
+        },
+        |mut cfg| {
+            // Default to the paper's dense profile plus its widest sparse one.
+            if cfg.datasets.is_empty() {
+                cfg.datasets = vec!["covtype".into(), "rcv1".into()];
             }
-        }
-        return;
-    }
-
-    // Default to the paper's dense profile plus its widest sparse one.
-    if cfg.datasets.is_empty() {
-        cfg.datasets = vec!["covtype".into(), "rcv1".into()];
-    }
-    let rows = sgd_bench::serve::rows(&cfg);
-    print!("{}", sgd_bench::serve::render(&rows));
-    let json = sgd_bench::serve::to_json(&rows);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+            let rows = rows(&cfg);
+            (render(&rows), to_json(&rows))
+        },
+    );
 }

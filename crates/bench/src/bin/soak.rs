@@ -7,58 +7,27 @@
 //! tiny dataset) instead of the full soak; `--out PATH` overrides where
 //! the JSON lands (default `BENCH_soak.json`).
 
-use sgd_bench::cli::ExperimentConfig;
+use sgd_bench::cli::{sweep_main, ExperimentConfig};
+use sgd_bench::soak::{check, render, rows, to_json};
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_soak.json");
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(arg),
-        }
-    }
-    let mut cfg = match ExperimentConfig::from_args(rest) {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}\nextra flags: [--check] [--out PATH]");
-            std::process::exit(2);
-        }
-    };
-
-    if check {
-        cfg.datasets = vec!["w8a".into()];
-        match sgd_bench::soak::check(&cfg) {
-            Ok(()) => println!(
-                "soak --check: deterministic shed decisions, conservation holds, \
-                 hardened tail bounded while the baseline diverges"
-            ),
-            Err(msg) => {
-                eprintln!("soak --check failed: {msg}");
-                std::process::exit(1);
+    sweep_main(
+        "soak",
+        "BENCH_soak.json",
+        ExperimentConfig::from_args,
+        |mut cfg| {
+            cfg.datasets = vec!["w8a".into()];
+            check(&cfg)?;
+            Ok("deterministic shed decisions, conservation holds, \
+                hardened tail bounded while the baseline diverges"
+                .into())
+        },
+        |mut cfg| {
+            if cfg.datasets.is_empty() {
+                cfg.datasets = vec!["w8a".into()];
             }
-        }
-        return;
-    }
-
-    if cfg.datasets.is_empty() {
-        cfg.datasets = vec!["w8a".into()];
-    }
-    let rows = sgd_bench::soak::rows(&cfg);
-    print!("{}", sgd_bench::soak::render(&rows));
-    let json = sgd_bench::soak::to_json(&rows);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+            let rows = rows(&cfg);
+            (render(&rows), to_json(&rows))
+        },
+    );
 }

@@ -198,6 +198,63 @@ pub fn config_from_env() -> ExperimentConfig {
     }
 }
 
+/// The one `main` of the sweep binaries (`kernels`, `pool`, `ps`,
+/// `router`, `serve`, `soak`): `--check` runs the CI smoke and prints
+/// `<name> --check: <its success line>`, anything else runs the sweep,
+/// prints its table and writes its JSON to `--out PATH` (default
+/// `default_out`). Every other argument goes to `parse`. Exits 2 on a bad
+/// flag and 1 on a failed check or write.
+pub fn sweep_main<C>(
+    name: &str,
+    default_out: &str,
+    parse: impl FnOnce(Vec<String>) -> Result<C, String>,
+    check: impl FnOnce(C) -> Result<String, String>,
+    sweep: impl FnOnce(C) -> (String, String),
+) {
+    if let Err((code, msg)) =
+        run_sweep(std::env::args().skip(1), name, default_out, parse, check, sweep)
+    {
+        eprintln!("{msg}");
+        std::process::exit(code);
+    }
+}
+
+/// [`sweep_main`] minus the process exit: `Err` carries the exit code and
+/// the stderr line.
+fn run_sweep<C>(
+    args: impl IntoIterator<Item = String>,
+    name: &str,
+    default_out: &str,
+    parse: impl FnOnce(Vec<String>) -> Result<C, String>,
+    check: impl FnOnce(C) -> Result<String, String>,
+    sweep: impl FnOnce(C) -> (String, String),
+) -> Result<(), (i32, String)> {
+    let mut do_check = false;
+    let mut out_path = default_out.to_string();
+    let mut rest = Vec::new();
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--check" => do_check = true,
+            "--out" => out_path = it.next().ok_or((2, "--out requires a path".to_string()))?,
+            _ => rest.push(arg),
+        }
+    }
+    let cfg =
+        parse(rest).map_err(|msg| (2, format!("{msg}\nextra flags: [--check] [--out PATH]")))?;
+
+    if do_check {
+        let line = check(cfg).map_err(|msg| (1, format!("{name} --check failed: {msg}")))?;
+        println!("{name} --check: {line}");
+        return Ok(());
+    }
+    let (table, json) = sweep(cfg);
+    print!("{table}");
+    std::fs::write(&out_path, json).map_err(|e| (1, format!("cannot write {out_path}: {e}")))?;
+    println!("wrote {out_path}");
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,6 +316,40 @@ mod tests {
         wall.timing = TimingMode::Wall;
         let c = wall.configuration(DeviceKind::CpuPar, Strategy::Sync);
         assert!(matches!(c.timing, Timing::Wall));
+    }
+
+    #[test]
+    fn sweep_main_exit_codes_and_outputs() {
+        let parse = |rest: Vec<String>| match rest.as_slice() {
+            [] => Ok(()),
+            other => Err(format!("unknown flag {other:?}")),
+        };
+        let run = |line: &str, check_ok: bool| {
+            run_sweep(
+                args(line),
+                "demo",
+                "/nonexistent-dir/BENCH_demo.json",
+                parse,
+                |()| if check_ok { Ok("fine".to_string()) } else { Err("broke".to_string()) },
+                |()| ("table\n".to_string(), "{}\n".to_string()),
+            )
+        };
+        assert_eq!(run("--check", true), Ok(()));
+        assert_eq!(run("--check", false), Err((1, "demo --check failed: broke".into())));
+        assert_eq!(run("--out", true), Err((2, "--out requires a path".into())));
+        let (code, msg) = run("--bogus", true).unwrap_err();
+        assert_eq!(code, 2);
+        assert!(msg.ends_with("\nextra flags: [--check] [--out PATH]"), "{msg}");
+        // The default path is unwritable here: exit 1, after the table.
+        let (code, msg) = run("", true).unwrap_err();
+        assert_eq!(code, 1);
+        assert!(msg.starts_with("cannot write /nonexistent-dir/BENCH_demo.json"), "{msg}");
+
+        let out = std::env::temp_dir().join(format!("sweep_main_{}.json", std::process::id()));
+        let line = format!("--out {}", out.display());
+        assert_eq!(run(&line, true), Ok(()));
+        assert_eq!(std::fs::read_to_string(&out).expect("sweep wrote its JSON"), "{}\n");
+        std::fs::remove_file(&out).expect("temp file removable");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Kernel roofline microbench — scalar vs SIMD vs cache-blocked.
+//! Kernel roofline microbench — scalar vs SIMD.
 //!
 //! Not a paper figure: this experiment sizes the SIMD kernel tier added
 //! with the vectorization PR. Each (kernel, shape, tier, threads) cell
@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use sgd_core::{CPU_FLOPS_PER_CORE, CPU_PAR_EFFICIENCY, CPU_SIMD_FLOPS_PER_CORE};
 use sgd_linalg::pool::{self};
-use sgd_linalg::{Backend, BlockedCsr, CsrMatrix, KernelTier, Matrix, Scalar, SoaMatrix};
+use sgd_linalg::{Backend, CsrMatrix, KernelTier, Matrix, Scalar};
 
 /// Thread counts swept per cell (same axis as the pool bench).
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -41,12 +41,11 @@ pub const GEMV_SIMD_ACCEPT_SPEEDUP: f64 = 1.5;
 /// One timed (kernel, shape, tier, threads) cell.
 #[derive(Clone, Debug)]
 pub struct KernelRow {
-    /// Kernel name (`dot`, `axpy`, `scale`, `gemv`, `gemv_t`, `spmv`,
-    /// `gemv_blocked`, `spmv_blocked`).
+    /// Kernel name (`dot`, `axpy`, `scale`, `gemv`, `gemv_t`, `spmv`).
     pub kernel: String,
     /// Shape label (`n=2048` or `64x64`).
     pub shape: String,
-    /// `scalar`, `simd`, or `blocked` (blocked runs under the SIMD tier).
+    /// `scalar` or `simd`.
     pub tier: String,
     /// Requested kernel width.
     pub threads: usize,
@@ -166,10 +165,8 @@ const SPMV_SHAPE: (usize, usize) = (512, 256);
 /// binary uses 0.02; `check` shrinks it to keep CI fast).
 pub fn rows(opts: &KernelBenchOpts, min_secs: f64) -> Vec<KernelRow> {
     let mut out = Vec::new();
-    let simd = opts.simd_tier();
-
-    // (tier label, ambient tier) sweeps; blocked is appended separately.
-    let tiers = [("scalar", KernelTier::Scalar), ("simd", simd)];
+    // (tier label, ambient tier) sweeps.
+    let tiers = [("scalar", KernelTier::Scalar), ("simd", opts.simd_tier())];
 
     // Vector kernels.
     for &n in &VEC_LENS {
@@ -256,30 +253,9 @@ pub fn rows(opts: &KernelBenchOpts, min_secs: f64) -> Vec<KernelRow> {
                 }
             }
         }
-        // Cache-blocked SoA layout, single-threaded, SIMD tier.
-        let soa = SoaMatrix::from_matrix(&a);
-        let cell = Cell { kernel: "gemv_blocked", shape: format!("{r}x{c}"), flops: fl, bytes: by };
-        let scalar_seq = out
-            .iter()
-            .find(|row| {
-                row.kernel == "gemv"
-                    && row.shape == cell.shape
-                    && row.tier == "scalar"
-                    && row.threads == 1
-            })
-            .map(|row| row.secs)
-            .unwrap_or(f64::NAN);
-        let secs = pool::with_tier(simd, || {
-            let mut y = vec![0.0; r];
-            time_secs(min_secs, || {
-                y.iter_mut().for_each(|v| *v = 0.0);
-                soa.gemv(&x, &mut y);
-            })
-        });
-        out.push(row_from(&cell, "blocked", 1, secs, scalar_seq));
     }
 
-    // Sparse spmv and its blocked layout.
+    // Sparse spmv.
     let (sr, sc) = SPMV_SHAPE;
     let s = sparse(sr, sc);
     let x = vec_data(sc, 6);
@@ -307,14 +283,6 @@ pub fn rows(opts: &KernelBenchOpts, min_secs: f64) -> Vec<KernelRow> {
             out.push(row_from(&cell, label, threads, secs, scalar_seq));
         }
     }
-    let blocked = BlockedCsr::from_csr(&s);
-    let bcell = Cell { kernel: "spmv_blocked", shape: cell.shape.clone(), ..cell };
-    let secs = pool::with_tier(simd, || {
-        let mut y = vec![0.0; sr];
-        time_secs(min_secs, || blocked.spmv(&x, &mut y))
-    });
-    out.push(row_from(&bcell, "blocked", 1, secs, scalar_seq));
-
     out
 }
 
@@ -353,7 +321,7 @@ pub fn to_json(rows: &[KernelRow], opts: &KernelBenchOpts) -> String {
 
 /// Human-readable roofline table for stdout.
 pub fn render(rows: &[KernelRow]) -> String {
-    let mut out = String::from("Kernel roofline sweep: scalar vs SIMD vs blocked\n");
+    let mut out = String::from("Kernel roofline sweep: scalar vs SIMD\n");
     out.push_str(&format!(
         "{:<13} {:<10} {:<8} {:>3} | {:>9} {:>8} {:>7} {:>9} {:>8}\n",
         "kernel", "shape", "tier", "t", "GFLOP/s", "GB/s", "AI", "model", "speedup"
@@ -382,7 +350,6 @@ pub fn render(rows: &[KernelRow]) -> String {
 ///   data (dispatch can never change results);
 /// * two runs under the SIMD tier agree bitwise on fractional data
 ///   (run-to-run determinism);
-/// * blocked layouts agree bitwise with seq on integer data;
 /// * unless `force_portable`, SIMD gemv at width 1 on the L1 shape must
 ///   reach half the committed [`GEMV_SIMD_ACCEPT_SPEEDUP`] — a loose
 ///   regression bound (the committed JSON records the full measurement).
@@ -423,20 +390,6 @@ pub fn check(opts: &KernelBenchOpts) -> Result<(), String> {
             }
             Ok(())
         })?;
-    }
-
-    // Blocked layouts: bitwise equal to seq on integer data.
-    let soa = SoaMatrix::from_matrix(&ai);
-    let mut got = vec![0.0; 37];
-    pool::with_tier(opts.simd_tier(), || soa.gemv(&xi, &mut got));
-    if got != expect_gemv {
-        return Err("SoaMatrix::gemv diverged from seq on integer data".into());
-    }
-    let blocked = BlockedCsr::from_csr(&si);
-    let mut got = vec![0.0; 37];
-    pool::with_tier(opts.simd_tier(), || blocked.spmv(&xi, &mut got));
-    if got != expect_spmv {
-        return Err("BlockedCsr::spmv diverged from seq on integer data".into());
     }
 
     // Run-to-run bit determinism on fractional data under the SIMD tier.
@@ -492,9 +445,12 @@ mod tests {
         let opts = KernelBenchOpts::default();
         let rows = rows(&opts, 1e-4);
         // 3 vector kernels x 2 lens x 2 tiers x 4 widths
-        //   + 2 dense kernels x 3 shapes x 2 tiers x 4 widths + 3 blocked
-        //   + spmv 2 tiers x 4 widths + 1 blocked.
-        assert_eq!(rows.len(), 48 + 48 + 3 + 8 + 1);
+        //   + 2 dense kernels x 3 shapes x 2 tiers x 4 widths
+        //   + spmv 2 tiers x 4 widths.
+        assert_eq!(rows.len(), 48 + 48 + 8);
+        // The committed file carries the same grid as the binary.
+        let committed = include_str!("../../../BENCH_kernels.json");
+        assert_eq!(committed.matches("\"kernel\"").count(), rows.len());
         for r in &rows {
             assert!(r.secs > 0.0 && r.gflops.is_finite() && r.gbps.is_finite(), "{r:?}");
             assert!(r.model_gflops > 0.0 && r.intensity > 0.0, "{r:?}");

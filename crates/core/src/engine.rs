@@ -539,6 +539,53 @@ mod tests {
     }
 
     #[test]
+    fn workers_inherit_the_runner_width() {
+        use std::sync::Mutex;
+        let widths = Mutex::new(Vec::new());
+        sgd_linalg::pool::with_threads(2, || {
+            sgd_linalg::pool::run(3, |_| {
+                widths.lock().unwrap().push(sgd_linalg::pool::current_num_threads());
+            });
+        });
+        let widths = widths.into_inner().unwrap();
+        assert_eq!(widths.len(), 3);
+        assert!(widths.iter().all(|&w| w == 2), "{widths:?}");
+    }
+
+    #[test]
+    fn engine_runs_never_execute_kernels_beyond_the_requested_width() {
+        use sgd_linalg::MIN_PARALLEL_LEN;
+
+        // Enough rows that the eval/gradient kernels actually cross the
+        // parallel threshold: an un-inherited width would show up as a
+        // machine-width submission.
+        let n = MIN_PARALLEL_LEN + 101;
+        let x = Matrix::from_fn(n, 4, |i, j| {
+            let s = if i % 2 == 0 { 1.0 } else { -1.0 };
+            s * (((i * 7 + j * 3) % 5 + 1) as Scalar) / 5.0
+        });
+        let y: Vec<Scalar> = (0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let b = Batch::new(Examples::Dense(&x), &y);
+        let task = lr(4);
+        let opts = RunOptions { max_epochs: 2, threads: 2, ..Default::default() };
+
+        let stats = sgd_linalg::pool::PoolStats::new();
+        sgd_linalg::pool::with_stats(&stats, || {
+            for strategy in [Strategy::Sync, Strategy::Hogwild] {
+                let cfg = Configuration::new(DeviceKind::CpuPar, strategy);
+                let rep = Engine::run(&cfg, &task, &b, 0.5, &opts);
+                assert!(rep.best_loss().is_finite());
+            }
+        });
+        assert!(stats.submissions() > 0, "large kernels must dispatch to the pool");
+        assert!(
+            stats.max_width() <= 2,
+            "kernel ran at width {} under threads = 2 (ambient width leak)",
+            stats.max_width()
+        );
+    }
+
+    #[test]
     fn gpu_hogbatch_corner_dispatches() {
         let (x, y) = dense();
         let b = Batch::new(Examples::Dense(&x), &y);

@@ -21,13 +21,13 @@ use std::collections::BTreeMap;
 use sgd_gpusim::kernels::GpuExec;
 use sgd_gpusim::WarpCtx;
 use sgd_linalg::{CpuExec, Exec, Scalar};
-use sgd_models::{Batch, Examples, LinearLoss, LinearTask, PointwiseLoss, Task};
+use sgd_models::{Batch, Examples, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{FaultCounters, FaultPlan};
 use crate::hogwild::shuffled_order;
-use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe, NullObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe, Recorder};
 use crate::report::RunReport;
 use crate::supervisor::Supervisor;
 
@@ -305,17 +305,6 @@ fn trace_dense_pass(
 /// The whole epoch is a single kernel (one thread per example). The first
 /// two epochs are traced (cold/warm L2); later epochs replay the warm cost
 /// while computing functionally identical updates.
-#[deprecated(note = "dispatch through `Engine::run` with `Strategy::Hogwild` on `DeviceKind::Gpu`")]
-pub fn run_gpu_hogwild<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    alpha: f64,
-    opts: &RunOptions,
-    gopts: &GpuAsyncOptions,
-) -> RunReport {
-    gpu_hogwild_observed(task, task.pointwise(), batch, alpha, opts, gopts, &mut NullObserver)
-}
-
 pub(crate) fn gpu_hogwild_observed<T: Task>(
     task: &T,
     loss_fn: &dyn PointwiseLoss,
@@ -492,20 +481,6 @@ pub(crate) fn gpu_hogwild_observed<T: Task>(
 /// Runs Hogbatch for any task on the simulated GPU: batches are processed
 /// strictly in sequence (only one kernel executes at a time), each batch's
 /// primitive stream paying the per-kernel host dispatch overhead.
-#[deprecated(
-    note = "dispatch through `Engine::run` with `Strategy::Hogbatch` on `DeviceKind::Gpu`"
-)]
-pub fn run_gpu_hogbatch<T: Task>(
-    task: &T,
-    full: &Batch<'_>,
-    batches: &[Batch<'_>],
-    alpha: f64,
-    opts: &RunOptions,
-    gopts: &GpuAsyncOptions,
-) -> RunReport {
-    gpu_hogbatch_observed(task, full, batches, alpha, opts, gopts, &mut NullObserver)
-}
-
 pub(crate) fn gpu_hogbatch_observed<T: Task>(
     task: &T,
     full: &Batch<'_>,
@@ -660,13 +635,18 @@ pub(crate) fn gpu_hogbatch_observed<T: Task>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // exercises the legacy shim entry points
-
     use super::*;
-    use crate::hogbatch::{make_batches, run_hogbatch};
-    use crate::hogwild::run_hogwild;
+    use crate::engine::{Configuration, Engine, Strategy};
     use sgd_linalg::{CsrMatrix, Matrix};
     use sgd_models::{lr, MlpTask};
+
+    fn gpu_corner(strategy: Strategy) -> Configuration {
+        Configuration::new(DeviceKind::Gpu, strategy)
+    }
+
+    fn seq_corner(strategy: Strategy) -> Configuration {
+        Configuration::new(DeviceKind::CpuSeq, strategy)
+    }
 
     fn dense_data(n: usize, d: usize) -> (Matrix, Vec<Scalar>) {
         let x = Matrix::from_fn(n, d, |i, j| {
@@ -685,7 +665,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(6);
         let opts = RunOptions { max_epochs: 1, ..Default::default() };
-        let rep = run_gpu_hogwild(&task, &b, 0.1, &opts, &GpuAsyncOptions::default());
+        let rep = Engine::run(&gpu_corner(Strategy::Hogwild), &task, &b, 0.1, &opts);
         let conflicts = rep.update_conflicts().expect("gpu run records conflicts");
         // 64 examples, 6 coords each = 384 touches; 2 warps x 6 unique.
         assert_eq!(conflicts, 384 - 12);
@@ -704,8 +684,8 @@ mod tests {
         let alpha = 0.02;
         let epochs = 3;
         let opts = RunOptions { max_epochs: epochs, ..Default::default() };
-        let seq = run_hogwild(&task, &b, 1, alpha, &opts);
-        let gpu = run_gpu_hogwild(&task, &b, alpha, &opts, &GpuAsyncOptions::default());
+        let seq = Engine::run(&seq_corner(Strategy::Hogwild), &task, &b, alpha, &opts);
+        let gpu = Engine::run(&gpu_corner(Strategy::Hogwild), &task, &b, alpha, &opts);
         let l_seq = seq.trace.points()[epochs].1;
         let l_gpu = gpu.trace.points()[epochs].1;
         let l0 = seq.trace.points()[0].1;
@@ -733,8 +713,8 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&xs), &y);
         let task = lr(d);
         let opts = RunOptions { max_epochs: 5, ..Default::default() };
-        let seq = run_hogwild(&task, &b, 1, 0.5, &opts);
-        let gpu = run_gpu_hogwild(&task, &b, 0.5, &opts, &GpuAsyncOptions::default());
+        let seq = Engine::run(&seq_corner(Strategy::Hogwild), &task, &b, 0.5, &opts);
+        let gpu = Engine::run(&gpu_corner(Strategy::Hogwild), &task, &b, 0.5, &opts);
         assert_eq!(gpu.update_conflicts(), Some(0));
         for (p, q) in seq.trace.points().iter().zip(gpu.trace.points()) {
             assert!((p.1 - q.1).abs() < 1e-12, "{} vs {}", p.1, q.1);
@@ -747,14 +727,10 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(6);
         let opts = RunOptions { max_epochs: 20, ..Default::default() };
-        let lww = run_gpu_hogwild(&task, &b, 0.5, &opts, &GpuAsyncOptions::default());
-        let atomic = run_gpu_hogwild(
-            &task,
-            &b,
-            0.5,
-            &opts,
-            &GpuAsyncOptions { atomic_updates: true, ..Default::default() },
-        );
+        let lww = Engine::run(&gpu_corner(Strategy::Hogwild), &task, &b, 0.5, &opts);
+        let atomic_cfg = gpu_corner(Strategy::Hogwild)
+            .with_gpu_async(GpuAsyncOptions { atomic_updates: true, ..Default::default() });
+        let atomic = Engine::run(&atomic_cfg, &task, &b, 0.5, &opts);
         // Atomic (mini-batch-like) updates make faster statistical progress
         // on dense data than last-write-wins.
         assert!(atomic.best_loss() < lww.best_loss() + 1e-12);
@@ -766,7 +742,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 6, ..Default::default() };
-        let rep = run_gpu_hogwild(&task, &b, 0.1, &opts, &GpuAsyncOptions::default());
+        let rep = Engine::run(&gpu_corner(Strategy::Hogwild), &task, &b, 0.1, &opts);
         let pts = rep.trace.points();
         assert!(pts.len() >= 6);
         let d4 = pts[4].0 - pts[3].0;
@@ -780,7 +756,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 5, ..Default::default() };
-        let rep = run_gpu_hogwild(&task, &b, 0.1, &opts, &GpuAsyncOptions::default());
+        let rep = Engine::run(&gpu_corner(Strategy::Hogwild), &task, &b, 0.1, &opts);
         let m = &rep.metrics;
         assert_eq!(m.epochs.len(), rep.trace.epochs());
         let total: u64 = m.epochs.iter().map(|e| e.update_conflicts).sum();
@@ -796,14 +772,12 @@ mod tests {
     fn gpu_hogbatch_statistics_match_sequential_hogbatch() {
         let (x, y) = dense_data(96, 6);
         let task = MlpTask::new(vec![6, 5, 2], 1);
-        let owned = make_batches(&x, &y, 16);
-        let batches: Vec<Batch<'_>> =
-            owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 10, ..Default::default() };
-        let cpu = run_hogbatch(&task, &full, &batches, 1, 1.0, &opts);
-        let gpu = run_gpu_hogbatch(&task, &full, &batches, 1.0, &opts, &GpuAsyncOptions::default());
-        for (p, q) in cpu.trace.points().iter().zip(gpu.trace.points()) {
+        let hogbatch = Strategy::Hogbatch { batch_size: 16 };
+        let cpu = Engine::run(&seq_corner(hogbatch.clone()), &task, &full, 1.0, &opts);
+        let dev = Engine::run(&gpu_corner(hogbatch), &task, &full, 1.0, &opts);
+        for (p, q) in cpu.trace.points().iter().zip(dev.trace.points()) {
             assert!((p.1 - q.1).abs() < 1e-9, "{} vs {}", p.1, q.1);
         }
     }
@@ -814,10 +788,10 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 4, plateau: None, ..Default::default() };
-        let clean = run_gpu_hogwild(&task, &b, 0.1, &opts, &GpuAsyncOptions::default());
+        let clean = Engine::run(&gpu_corner(Strategy::Hogwild), &task, &b, 0.1, &opts);
         let lag_opts =
             RunOptions { faults: FaultPlan::default().with_straggler(0, 4.0), ..opts.clone() };
-        let lag = run_gpu_hogwild(&task, &b, 0.1, &lag_opts, &GpuAsyncOptions::default());
+        let lag = Engine::run(&gpu_corner(Strategy::Hogwild), &task, &b, 0.1, &lag_opts);
         // A straggler-only plan changes no updates: same trajectory.
         assert_eq!(clean.trace.epochs(), lag.trace.epochs());
         for (p, q) in clean.trace.points().iter().zip(lag.trace.points()) {
@@ -847,7 +821,7 @@ mod tests {
                 .with_worker_death(0, 1),
             ..Default::default()
         };
-        let rep = run_gpu_hogwild(&task, &b, 0.02, &opts, &GpuAsyncOptions::default());
+        let rep = Engine::run(&gpu_corner(Strategy::Hogwild), &task, &b, 0.02, &opts);
         assert!(
             !matches!(rep.outcome, crate::report::RunOutcome::FaultAborted { .. }),
             "async gpu must absorb a dead warp, got {:?}",
@@ -864,9 +838,6 @@ mod tests {
     fn gpu_hogbatch_supervises_faults() {
         let (x, y) = dense_data(96, 6);
         let task = lr(6);
-        let owned = make_batches(&x, &y, 8);
-        let batches: Vec<Batch<'_>> =
-            owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions {
             max_epochs: 10,
@@ -879,7 +850,8 @@ mod tests {
                 .with_worker_death(1, 2),
             ..Default::default()
         };
-        let rep = run_gpu_hogbatch(&task, &full, &batches, 0.5, &opts, &GpuAsyncOptions::default());
+        let cfg = gpu_corner(Strategy::Hogbatch { batch_size: 8 });
+        let rep = Engine::run(&cfg, &task, &full, 0.5, &opts);
         assert!(
             !matches!(rep.outcome, crate::report::RunOutcome::FaultAborted { .. }),
             "serialized gpu stream must absorb a dead enqueuer, got {:?}",
@@ -896,21 +868,14 @@ mod tests {
     fn host_sync_overhead_slows_hogbatch() {
         let (x, y) = dense_data(96, 6);
         let task = MlpTask::new(vec![6, 5, 2], 1);
-        let owned = make_batches(&x, &y, 8);
-        let batches: Vec<Batch<'_>> =
-            owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 3, ..Default::default() };
-        let fast = run_gpu_hogbatch(
-            &task,
-            &full,
-            &batches,
-            1.0,
-            &opts,
-            &GpuAsyncOptions { host_sync_overhead_secs: 0.0, ..Default::default() },
-        );
-        let slow =
-            run_gpu_hogbatch(&task, &full, &batches, 1.0, &opts, &GpuAsyncOptions::default());
+        let slow_cfg = gpu_corner(Strategy::Hogbatch { batch_size: 8 });
+        let fast_cfg = slow_cfg
+            .clone()
+            .with_gpu_async(GpuAsyncOptions { host_sync_overhead_secs: 0.0, ..Default::default() });
+        let fast = Engine::run(&fast_cfg, &task, &full, 1.0, &opts);
+        let slow = Engine::run(&slow_cfg, &task, &full, 1.0, &opts);
         assert!(slow.time_per_epoch() > 2.0 * fast.time_per_epoch());
     }
 }

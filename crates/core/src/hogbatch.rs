@@ -15,7 +15,7 @@ use sgd_models::{Batch, Task};
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{FaultCounters, FaultTally};
-use crate::metrics::{EpochMetrics, EpochObserver, NullObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
 use crate::report::RunReport;
 use crate::shared_model::SharedModel;
 use crate::supervisor::Supervisor;
@@ -42,18 +42,6 @@ pub fn make_batches(
 
 /// Runs Hogbatch with `threads` workers over the given mini-batches.
 /// `full` is the whole dataset, used only for (untimed) loss evaluation.
-#[deprecated(note = "dispatch through `Engine::run` with `Strategy::Hogbatch`")]
-pub fn run_hogbatch<T: Task>(
-    task: &T,
-    full: &Batch<'_>,
-    batches: &[Batch<'_>],
-    threads: usize,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    hogbatch_observed(task, full, batches, threads, alpha, opts, &mut NullObserver)
-}
-
 pub(crate) fn hogbatch_observed<T: Task>(
     task: &T,
     full: &Batch<'_>,
@@ -67,7 +55,7 @@ pub(crate) fn hogbatch_observed<T: Task>(
     let threads = threads.max(1);
     // Pin the ambient kernel width to the worker count for the whole run
     // (inherited by the pooled workers and the untimed loss evaluations).
-    crate::pool::with_threads(threads, || {
+    sgd_linalg::pool::with_threads(threads, || {
         hogbatch_run(task, full, batches, threads, alpha, opts, obs)
     })
 }
@@ -105,7 +93,7 @@ fn hogbatch_run<T: Task>(
         let t0 = Instant::now();
         match faults {
             None => {
-                crate::pool::run_workers(threads, |t| {
+                sgd_linalg::pool::run(threads, |t| {
                     let mut e = CpuExec::seq();
                     let mut w = vec![0.0; dim];
                     let mut g = vec![0.0; dim];
@@ -137,7 +125,7 @@ fn hogbatch_run<T: Task>(
                         alive.push(t);
                     }
                 }
-                crate::pool::run_workers(alive.len(), |i| {
+                sgd_linalg::pool::run(alive.len(), |i| {
                     let t = alive[i];
                     let mut e = CpuExec::seq();
                     let mut w = vec![0.0; dim];
@@ -211,9 +199,8 @@ fn hogbatch_run<T: Task>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // exercises the legacy shim entry points
-
     use super::*;
+    use crate::metrics::NullObserver;
     use sgd_linalg::Matrix;
     use sgd_models::{Examples, MlpTask};
 
@@ -254,7 +241,7 @@ mod tests {
             owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 120, ..Default::default() };
-        let rep = run_hogbatch(&task, &full, &batches, 1, 2.0, &opts);
+        let rep = hogbatch_observed(&task, &full, &batches, 1, 2.0, &opts, &mut NullObserver);
         assert_eq!(rep.device, DeviceKind::CpuSeq);
         let start = rep.trace.points()[0].1;
         assert!(rep.best_loss() < start * 0.6, "loss {} -> {}", start, rep.best_loss());
@@ -269,7 +256,7 @@ mod tests {
             owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 120, ..Default::default() };
-        let rep = run_hogbatch(&task, &full, &batches, 4, 2.0, &opts);
+        let rep = hogbatch_observed(&task, &full, &batches, 4, 2.0, &opts, &mut NullObserver);
         assert_eq!(rep.device, DeviceKind::CpuPar);
         let start = rep.trace.points()[0].1;
         assert!(rep.best_loss() < start * 0.7, "loss {} -> {}", start, rep.best_loss());
@@ -284,7 +271,7 @@ mod tests {
             owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 60, ..Default::default() };
-        let rep = run_hogbatch(&task, &full, &batches, 2, 1.0, &opts);
+        let rep = hogbatch_observed(&task, &full, &batches, 2, 1.0, &opts, &mut NullObserver);
         assert!(rep.best_loss() < 0.3, "loss {}", rep.best_loss());
     }
 }

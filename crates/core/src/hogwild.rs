@@ -13,12 +13,12 @@ use std::time::Instant;
 
 use sgd_cpusim::{CpuSpec, HogwildCost};
 use sgd_linalg::Scalar;
-use sgd_models::{Batch, Examples, LinearLoss, LinearTask, PointwiseLoss, Task};
+use sgd_models::{Batch, Examples, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{FaultCounters, FaultPlan, FaultTally};
-use crate::metrics::{EpochMetrics, EpochObserver, NullObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
 use crate::modeled::batch_stats;
 use crate::report::RunReport;
 use crate::shared_model::SharedModel;
@@ -175,17 +175,6 @@ pub(crate) fn hogwild_worker_faulty<L: PointwiseLoss + ?Sized>(
 /// Runs Hogwild over `batch` with `threads` concurrent workers
 /// (`threads == 1` is exactly sequential incremental SGD, the paper's
 /// `cpu-seq` asynchronous baseline).
-#[deprecated(note = "dispatch through `Engine::run` with `Strategy::Hogwild`")]
-pub fn run_hogwild<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    threads: usize,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    hogwild_observed(task, task.pointwise(), batch, threads, alpha, opts, &mut NullObserver)
-}
-
 pub(crate) fn hogwild_observed<T: Task>(
     task: &T,
     loss_fn: &dyn PointwiseLoss,
@@ -199,7 +188,7 @@ pub(crate) fn hogwild_observed<T: Task>(
     // Pin the ambient kernel width to the worker count for the whole run:
     // pool tasks inherit it, so neither the per-partition workers nor the
     // (untimed) loss evaluations ever fan out to machine width.
-    crate::pool::with_threads(threads, || {
+    sgd_linalg::pool::with_threads(threads, || {
         hogwild_run(task, loss_fn, batch, threads, alpha, opts, obs)
     })
 }
@@ -251,7 +240,7 @@ fn hogwild_run<T: Task>(
                 if threads == 1 {
                     hogwild_worker(loss_fn, batch, &model, alpha, &order);
                 } else {
-                    crate::pool::run_workers(parts.len(), |t| {
+                    sgd_linalg::pool::run(parts.len(), |t| {
                         hogwild_worker(loss_fn, batch, &model, alpha, parts[t])
                     });
                 }
@@ -281,7 +270,7 @@ fn hogwild_run<T: Task>(
                             alive.push(part);
                         }
                     }
-                    crate::pool::run_workers(alive.len(), |t| {
+                    sgd_linalg::pool::run(alive.len(), |t| {
                         hogwild_worker_faulty(
                             loss_fn, batch, &model, alpha, alive[t], plan, epoch, &snapshot, &tally,
                         )
@@ -329,9 +318,8 @@ fn hogwild_run<T: Task>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // exercises the legacy shim entry points
-
     use super::*;
+    use crate::metrics::NullObserver;
     use sgd_linalg::{CsrMatrix, Matrix};
     use sgd_models::lr;
 
@@ -371,7 +359,7 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(32);
         let opts = RunOptions { max_epochs: 60, ..Default::default() };
-        let rep = run_hogwild(&task, &b, 1, 0.5, &opts);
+        let rep = hogwild_observed(&task, task.pointwise(), &b, 1, 0.5, &opts, &mut NullObserver);
         assert_eq!(rep.device, DeviceKind::CpuSeq);
         assert!(rep.best_loss() < 0.15, "loss {}", rep.best_loss());
         // Sequential execution has no staleness and no coherency traffic.
@@ -385,7 +373,7 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(64);
         let opts = RunOptions { max_epochs: 60, ..Default::default() };
-        let rep = run_hogwild(&task, &b, 4, 0.5, &opts);
+        let rep = hogwild_observed(&task, task.pointwise(), &b, 4, 0.5, &opts, &mut NullObserver);
         assert_eq!(rep.device, DeviceKind::CpuPar);
         assert!(rep.best_loss() < 0.2, "loss {}", rep.best_loss());
         // Four workers over 512 examples: 128 concurrent-update rounds per
@@ -404,7 +392,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(8);
         let opts = RunOptions { max_epochs: 40, ..Default::default() };
-        let rep = run_hogwild(&task, &b, 2, 0.5, &opts);
+        let rep = hogwild_observed(&task, task.pointwise(), &b, 2, 0.5, &opts, &mut NullObserver);
         assert!(rep.best_loss() < 0.2, "loss {}", rep.best_loss());
         // Dense low-dimensional data drives the coherency estimate up:
         // every touch is expected to invalidate a remote cacheline.
@@ -429,7 +417,7 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(d);
         let opts = RunOptions { max_epochs: 80, ..Default::default() };
-        let rep = run_hogwild(&task, &b, 4, 1.0, &opts);
+        let rep = hogwild_observed(&task, task.pointwise(), &b, 4, 1.0, &opts, &mut NullObserver);
         assert!(rep.best_loss() < 0.1, "loss {}", rep.best_loss());
     }
 
@@ -439,12 +427,12 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(32);
         let opts = RunOptions { max_epochs: 200, target_loss: Some(0.3), ..Default::default() };
-        let rep = run_hogwild(&task, &b, 2, 0.5, &opts);
+        let rep = hogwild_observed(&task, task.pointwise(), &b, 2, 0.5, &opts, &mut NullObserver);
         assert!(!rep.timed_out);
 
         // An impossible target within a tiny time budget reports timeout.
         let opts = RunOptions { max_epochs: 3, target_loss: Some(1e-12), ..Default::default() };
-        let rep = run_hogwild(&task, &b, 2, 0.5, &opts);
+        let rep = hogwild_observed(&task, task.pointwise(), &b, 2, 0.5, &opts, &mut NullObserver);
         assert!(rep.timed_out, "must report the paper's ∞");
     }
 
@@ -460,7 +448,7 @@ mod tests {
             faults: crate::FaultPlan::default().with_worker_death(1, 1),
             ..Default::default()
         };
-        let rep = run_hogwild(&task, &b, 4, 0.5, &opts);
+        let rep = hogwild_observed(&task, task.pointwise(), &b, 4, 0.5, &opts, &mut NullObserver);
         assert!(!matches!(rep.outcome, crate::RunOutcome::FaultAborted { .. }));
         assert!(rep.best_loss() < 0.3, "loss {}", rep.best_loss());
         assert!(rep.metrics.total_faults().dead_workers > 0);
@@ -481,7 +469,7 @@ mod tests {
                 .with_corruption(0.1, 0.5),
             ..Default::default()
         };
-        let rep = run_hogwild(&task, &b, 2, 0.5, &opts);
+        let rep = hogwild_observed(&task, task.pointwise(), &b, 2, 0.5, &opts, &mut NullObserver);
         let total = rep.metrics.total_faults();
         assert!(total.dropped_updates > 0);
         assert!(total.stale_reads > 0);

@@ -40,11 +40,10 @@
 //! # let _ = DeviceKind::CpuSeq;
 //! ```
 //!
-//! The direct entry points (`run_sync`, `run_hogwild`, `run_hogbatch`,
-//! `run_gpu_hogwild`, `run_gpu_hogbatch`, the `*_modeled` variants and
-//! `run_replicated_hogwild`) remain as deprecated shims over the engine's
-//! internals; new code should dispatch through [`Engine::run`] (or
-//! [`Engine::grid_search`] with the convergence utilities on top).
+//! [`Engine`] is the only way to start a run: [`Engine::run`] /
+//! [`Engine::try_run`] for one step size, [`Engine::run_observed`] to
+//! stream the per-epoch counters, [`Engine::grid_search`] with the
+//! convergence utilities on top.
 
 mod backend;
 mod config;
@@ -56,7 +55,6 @@ mod hogbatch;
 mod hogwild;
 mod metrics;
 mod modeled;
-pub mod pool;
 mod replication;
 mod report;
 mod shared_model;
@@ -73,22 +71,10 @@ pub use convergence::{reference_optimum, ConvergenceSummary, LossTrace, THRESHOL
 pub use engine::{Configuration, Engine, EngineError, Sparsity, Strategy, Timing, TimingMode};
 pub use faults::{FaultCounters, FaultPlan, Straggler, WorkerDeath, WorkerRejoin};
 pub use gpu_async::GpuAsyncOptions;
-#[allow(deprecated)]
-pub use gpu_async::{run_gpu_hogbatch, run_gpu_hogwild};
 pub use hogbatch::make_batches;
-#[allow(deprecated)]
-pub use hogbatch::run_hogbatch;
-#[allow(deprecated)]
-pub use hogwild::run_hogwild;
 pub use metrics::{EpochMetrics, EpochObserver, NullObserver, Recorder, RunMetrics};
 pub use modeled::CpuModelConfig;
-#[allow(deprecated)]
-pub use modeled::{run_hogbatch_modeled, run_hogwild_modeled, run_sync_modeled};
-#[allow(deprecated)]
-pub use replication::run_replicated_hogwild;
 pub use replication::Replication;
 pub use report::{grid_search, step_size_grid, RunOutcome, RunReport};
 pub use shared_model::SharedModel;
 pub use supervisor::{Supervisor, Verdict, LOSS_EXPLOSION_FACTOR};
-#[allow(deprecated)]
-pub use sync::run_sync;

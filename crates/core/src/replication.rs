@@ -12,13 +12,13 @@ use std::time::Instant;
 
 use sgd_cpusim::{CpuSpec, HogwildCost};
 use sgd_linalg::Scalar;
-use sgd_models::{Batch, LinearLoss, LinearTask, PointwiseLoss, Task};
+use sgd_models::{Batch, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{FaultCounters, FaultTally};
 use crate::hogwild::{hogwild_worker, hogwild_worker_faulty, shuffled_order};
-use crate::metrics::{EpochMetrics, EpochObserver, NullObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
 use crate::modeled::batch_stats;
 use crate::report::RunReport;
 use crate::shared_model::SharedModel;
@@ -59,27 +59,6 @@ impl Replication {
 }
 
 /// Hogwild with the chosen replication strategy.
-#[deprecated(note = "dispatch through `Engine::run` with `Strategy::ReplicatedHogwild`")]
-pub fn run_replicated_hogwild<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    threads: usize,
-    alpha: f64,
-    replication: Replication,
-    opts: &RunOptions,
-) -> RunReport {
-    replicated_observed(
-        task,
-        task.pointwise(),
-        batch,
-        threads,
-        alpha,
-        replication,
-        opts,
-        &mut NullObserver,
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replicated_observed<T: Task>(
     task: &T,
@@ -94,7 +73,7 @@ pub(crate) fn replicated_observed<T: Task>(
     let threads = threads.max(1);
     // Pin the ambient kernel width to the worker count for the whole run
     // (inherited by the pooled workers and the untimed loss evaluations).
-    crate::pool::with_threads(threads, || {
+    sgd_linalg::pool::with_threads(threads, || {
         replicated_run(task, loss_fn, batch, threads, alpha, replication, opts, obs)
     })
 }
@@ -147,7 +126,7 @@ fn replicated_run<T: Task>(
         let t0 = Instant::now();
         match faults {
             None => {
-                crate::pool::run_workers(parts.len(), |t| {
+                sgd_linalg::pool::run(parts.len(), |t| {
                     hogwild_worker(loss_fn, batch, &replicas[t % n_replicas], alpha, parts[t])
                 });
             }
@@ -166,7 +145,7 @@ fn replicated_run<T: Task>(
                         alive.push(t);
                     }
                 }
-                crate::pool::run_workers(alive.len(), |i| {
+                sgd_linalg::pool::run(alive.len(), |i| {
                     let t = alive[i];
                     hogwild_worker_faulty(
                         loss_fn,
@@ -239,9 +218,8 @@ fn average_replicas(replicas: &[SharedModel], out: &mut [Scalar]) {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // exercises the legacy shim entry points
-
     use super::*;
+    use crate::engine::{Configuration, Engine, Strategy};
     use sgd_linalg::CsrMatrix;
     use sgd_models::{lr, Examples};
 
@@ -259,6 +237,10 @@ mod tests {
             .collect();
         let y = (0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
         (CsrMatrix::from_row_entries(n, d, &entries), y)
+    }
+
+    fn replicated(device: DeviceKind, replication: Replication) -> Configuration {
+        Configuration::new(device, Strategy::ReplicatedHogwild { replication })
     }
 
     #[test]
@@ -281,11 +263,11 @@ mod tests {
         let (x, y) = data(256, 16);
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(16);
-        let opts = RunOptions { max_epochs: 80, ..Default::default() };
+        let opts = RunOptions { max_epochs: 80, threads: 4, ..Default::default() };
         for repl in
             [Replication::PerMachine, Replication::PerNode { nodes: 2 }, Replication::PerCore]
         {
-            let rep = run_replicated_hogwild(&task, &b, 4, 0.5, repl, &opts);
+            let rep = Engine::run(&replicated(DeviceKind::CpuPar, repl), &task, &b, 0.5, &opts);
             assert!(rep.best_loss() < 0.3, "{}: loss {}", repl.label(), rep.best_loss());
         }
     }
@@ -296,8 +278,9 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(8);
         let opts = RunOptions { max_epochs: 10, ..Default::default() };
-        let a = run_replicated_hogwild(&task, &b, 1, 0.5, Replication::PerMachine, &opts);
-        let h = crate::hogwild::run_hogwild(&task, &b, 1, 0.5, &opts);
+        let seq = DeviceKind::CpuSeq;
+        let a = Engine::run(&replicated(seq, Replication::PerMachine), &task, &b, 0.5, &opts);
+        let h = Engine::run(&Configuration::new(seq, Strategy::Hogwild), &task, &b, 0.5, &opts);
         // Single-threaded, same order and updates: identical trajectories.
         for (p, q) in a.trace.points().iter().zip(h.trace.points()) {
             assert!((p.1 - q.1).abs() < 1e-12, "{} vs {}", p.1, q.1);
@@ -311,14 +294,15 @@ mod tests {
         let task = lr(16);
         let opts = RunOptions {
             max_epochs: 60,
+            threads: 4,
             faults: crate::faults::FaultPlan::default()
                 .with_seed(7)
                 .with_drops(0.05)
                 .with_worker_death(1, 2),
             ..Default::default()
         };
-        let rep =
-            run_replicated_hogwild(&task, &b, 4, 0.5, Replication::PerNode { nodes: 2 }, &opts);
+        let cfg = replicated(DeviceKind::CpuPar, Replication::PerNode { nodes: 2 });
+        let rep = Engine::run(&cfg, &task, &b, 0.5, &opts);
         assert!(
             !matches!(rep.outcome, crate::report::RunOutcome::FaultAborted { .. }),
             "async replication must absorb a dead worker, got {:?}",

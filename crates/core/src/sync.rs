@@ -14,7 +14,7 @@ use crate::backend::{BackendSession, ComputeBackend, ExecTask};
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{sync_epoch_faults, FaultCounters, FaultPlan, SyncFaultDecision};
-use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe, NullObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe, Recorder};
 use crate::report::RunReport;
 use crate::supervisor::Supervisor;
 
@@ -25,17 +25,6 @@ use crate::supervisor::Supervisor;
 /// pattern is identical every epoch, the GPU run traces the first two
 /// epochs (cold and warm cache) and replays the warm epoch cost for the
 /// remainder while still computing functionally exact updates.
-#[deprecated(note = "dispatch through `Engine::run` with `Strategy::Sync`")]
-pub fn run_sync<T: Task>(
-    task: &T,
-    batch: &Batch<'_>,
-    device: DeviceKind,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    sync_observed(task, batch, device, alpha, opts, &mut NullObserver)
-}
-
 pub(crate) fn sync_observed<T: Task>(
     task: &T,
     batch: &Batch<'_>,
@@ -273,9 +262,8 @@ fn gpu_run<T: Task>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // exercises the legacy shim entry points
-
     use super::*;
+    use crate::metrics::NullObserver;
     use sgd_linalg::{CsrMatrix, Matrix};
     use sgd_models::{lr, svm, Examples};
 
@@ -297,9 +285,9 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 12, threads: 2, ..Default::default() };
-        let seq = run_sync(&task, &b, DeviceKind::CpuSeq, 1.0, &opts);
-        let par = run_sync(&task, &b, DeviceKind::CpuPar, 1.0, &opts);
-        let gpu = run_sync(&task, &b, DeviceKind::Gpu, 1.0, &opts);
+        let seq = sync_observed(&task, &b, DeviceKind::CpuSeq, 1.0, &opts, &mut NullObserver);
+        let par = sync_observed(&task, &b, DeviceKind::CpuPar, 1.0, &opts, &mut NullObserver);
+        let gpu = sync_observed(&task, &b, DeviceKind::Gpu, 1.0, &opts, &mut NullObserver);
         let ls: Vec<f64> = seq.trace.points().iter().map(|&(_, l)| l).collect();
         let lp: Vec<f64> = par.trace.points().iter().map(|&(_, l)| l).collect();
         let lg: Vec<f64> = gpu.trace.points().iter().map(|&(_, l)| l).collect();
@@ -317,7 +305,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = svm(4);
         let opts = RunOptions { max_epochs: 40, ..Default::default() };
-        let rep = run_sync(&task, &b, DeviceKind::CpuSeq, 1.0, &opts);
+        let rep = sync_observed(&task, &b, DeviceKind::CpuSeq, 1.0, &opts, &mut NullObserver);
         assert!(rep.best_loss() < 0.5, "loss {}", rep.best_loss());
         assert!(rep.time_per_epoch() > 0.0);
     }
@@ -330,8 +318,8 @@ mod tests {
         let bs = Batch::new(Examples::Sparse(&sparse), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 8, ..Default::default() };
-        let rd = run_sync(&task, &bd, DeviceKind::CpuSeq, 0.5, &opts);
-        let rs = run_sync(&task, &bs, DeviceKind::CpuSeq, 0.5, &opts);
+        let rd = sync_observed(&task, &bd, DeviceKind::CpuSeq, 0.5, &opts, &mut NullObserver);
+        let rs = sync_observed(&task, &bs, DeviceKind::CpuSeq, 0.5, &opts, &mut NullObserver);
         for (a, b) in rd.trace.points().iter().zip(rs.trace.points()) {
             assert!((a.1 - b.1).abs() < 1e-12);
         }
@@ -343,7 +331,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 500, target_loss: Some(0.2), ..Default::default() };
-        let rep = run_sync(&task, &b, DeviceKind::CpuSeq, 1.0, &opts);
+        let rep = sync_observed(&task, &b, DeviceKind::CpuSeq, 1.0, &opts, &mut NullObserver);
         assert!(!rep.timed_out);
         assert!(rep.trace.epochs() < 500, "stopped early");
         let last = rep.trace.points().last().expect("nonempty").1;
@@ -361,7 +349,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 50, target_loss: Some(1e-6), ..Default::default() };
-        let rep = run_sync(&task, &b, DeviceKind::CpuSeq, 1e6, &opts);
+        let rep = sync_observed(&task, &b, DeviceKind::CpuSeq, 1e6, &opts, &mut NullObserver);
         // The run must terminate without reporting convergence to ~0 loss.
         assert!(rep.summarize(0.0).time_to_1pct().is_none());
         assert!(rep.trace.epochs() <= 50);
@@ -381,8 +369,8 @@ mod tests {
             faults: crate::FaultPlan::default().with_straggler(0, 3.0),
             ..clean.clone()
         };
-        let rc = run_sync(&task, &b, DeviceKind::Gpu, 0.5, &clean);
-        let rf = run_sync(&task, &b, DeviceKind::Gpu, 0.5, &faulty);
+        let rc = sync_observed(&task, &b, DeviceKind::Gpu, 0.5, &clean, &mut NullObserver);
+        let rf = sync_observed(&task, &b, DeviceKind::Gpu, 0.5, &faulty, &mut NullObserver);
         assert_eq!(rc.trace.epochs(), rf.trace.epochs(), "statistics unchanged");
         assert!(
             (rf.opt_seconds - 3.0 * rc.opt_seconds).abs() < 1e-9 * rc.opt_seconds.max(1.0),
@@ -404,7 +392,7 @@ mod tests {
             faults: crate::FaultPlan::default().with_worker_death(0, 2),
             ..Default::default()
         };
-        let rep = run_sync(&task, &b, DeviceKind::CpuSeq, 0.5, &opts);
+        let rep = sync_observed(&task, &b, DeviceKind::CpuSeq, 0.5, &opts, &mut NullObserver);
         assert_eq!(rep.outcome, crate::RunOutcome::FaultAborted { epoch: 3 });
         assert_eq!(rep.trace.epochs(), 2, "epochs 0 and 1 completed before the death");
     }
@@ -420,7 +408,7 @@ mod tests {
             faults: crate::FaultPlan::default().with_seed(3).with_drops(0.3).with_stale_reads(0.3),
             ..Default::default()
         };
-        let rep = run_sync(&task, &b, DeviceKind::CpuSeq, 0.5, &opts);
+        let rep = sync_observed(&task, &b, DeviceKind::CpuSeq, 0.5, &opts, &mut NullObserver);
         let total = rep.metrics.total_faults();
         assert!(total.dropped_updates > 0, "40 epochs at 30% drop rate");
         assert!(total.stale_reads > 0, "40 epochs at 30% stale rate");
@@ -432,7 +420,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 10, ..Default::default() };
-        let rep = run_sync(&task, &b, DeviceKind::Gpu, 0.5, &opts);
+        let rep = sync_observed(&task, &b, DeviceKind::Gpu, 0.5, &opts, &mut NullObserver);
         let pts = rep.trace.points();
         // Epoch costs after the warm-up are exactly equal (replayed).
         let d3 = pts[3].0 - pts[2].0;
@@ -454,7 +442,7 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&xs), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 6, ..Default::default() };
-        let rep = run_sync(&task, &b, DeviceKind::Gpu, 0.5, &opts);
+        let rep = sync_observed(&task, &b, DeviceKind::Gpu, 0.5, &opts, &mut NullObserver);
         let m = &rep.metrics;
         assert_eq!(m.epochs.len(), rep.trace.epochs());
         for e in &m.epochs {
@@ -474,7 +462,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 5, ..Default::default() };
-        let rep = run_sync(&task, &b, DeviceKind::CpuSeq, 0.5, &opts);
+        let rep = sync_observed(&task, &b, DeviceKind::CpuSeq, 0.5, &opts, &mut NullObserver);
         assert_eq!(rep.metrics.epochs.len(), rep.trace.epochs());
         for (e, p) in rep.metrics.epochs.iter().zip(&rep.trace.points()[1..]) {
             assert_eq!(e.loss, p.1);

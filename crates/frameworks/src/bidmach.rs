@@ -45,17 +45,6 @@ pub fn run_bidmach<L: LinearLoss>(
 }
 
 /// Runs BIDMach-style synchronous (full-batch) GD for a linear task.
-#[deprecated(note = "dispatch through `run_bidmach` with an engine `Configuration`")]
-pub fn run_bidmach_sync<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    device: DeviceKind,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    sync_wall(task, batch, device, alpha, opts)
-}
-
 fn sync_wall<L: LinearLoss>(
     task: &LinearTask<L>,
     batch: &Batch<'_>,
@@ -66,7 +55,7 @@ fn sync_wall<L: LinearLoss>(
     let label = format!("BIDMach {} sync {}", task.name(), device.label());
     match device {
         DeviceKind::CpuSeq => cpu_loop(task, batch, CpuExec::seq(), device, alpha, opts, label),
-        DeviceKind::CpuPar => sgd_core::pool::with_threads(opts.threads, || {
+        DeviceKind::CpuPar => sgd_linalg::pool::with_threads(opts.threads, || {
             cpu_loop(task, batch, CpuExec::par(), device, alpha, opts, label)
         }),
         DeviceKind::Gpu => gpu_loop(task, batch, alpha, opts, label),
@@ -193,17 +182,6 @@ fn gpu_loop<L: LinearLoss>(
 
 /// BIDMach-style synchronous GD with *modeled* CPU time (the paper's
 /// machine; same primitive parallelization rules as our implementation).
-#[deprecated(note = "dispatch through `run_bidmach` with an engine `Configuration`")]
-pub fn run_bidmach_sync_modeled<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    mc: &sgd_core::CpuModelConfig,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    sync_modeled(task, batch, mc, alpha, opts)
-}
-
 fn sync_modeled<L: LinearLoss>(
     task: &LinearTask<L>,
     batch: &Batch<'_>,

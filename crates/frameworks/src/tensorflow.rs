@@ -72,18 +72,6 @@ pub fn run_tensorflow(
 }
 
 /// Runs synchronous (full-batch) MLP training through the graph executor.
-#[deprecated(note = "dispatch through `run_tensorflow` with an engine `Configuration`")]
-pub fn run_tensorflow_sync(
-    layers: &[usize],
-    x: &Matrix,
-    y: &[Scalar],
-    device: DeviceKind,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    sync_wall(layers, x, y, device, alpha, opts)
-}
-
 fn sync_wall(
     layers: &[usize],
     x: &Matrix,
@@ -100,7 +88,7 @@ fn sync_wall(
         DeviceKind::CpuSeq => {
             cpu_loop(&mut sess, x, &classes, CpuExec::seq(), device, alpha, opts, label)
         }
-        DeviceKind::CpuPar => sgd_core::pool::with_threads(opts.threads, || {
+        DeviceKind::CpuPar => sgd_linalg::pool::with_threads(opts.threads, || {
             // Eigen-style backend: no small-GEMM threshold.
             cpu_loop(
                 &mut sess,
@@ -237,18 +225,6 @@ fn gpu_loop(
 /// Synchronous MLP training through the graph executor with *modeled* CPU
 /// time (see `sgd-cpusim`): the machine is the paper's Xeon, the backend
 /// is Eigen-like (no ViennaCL small-GEMM threshold).
-#[deprecated(note = "dispatch through `run_tensorflow` with an engine `Configuration`")]
-pub fn run_tensorflow_sync_modeled(
-    layers: &[usize],
-    x: &Matrix,
-    y: &[Scalar],
-    mc: &sgd_core::CpuModelConfig,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    sync_modeled(layers, x, y, mc, alpha, opts)
-}
-
 fn sync_modeled(
     layers: &[usize],
     x: &Matrix,

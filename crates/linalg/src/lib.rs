@@ -22,7 +22,6 @@
 //! ```
 
 mod backend;
-mod blocked;
 mod csr;
 mod dense;
 mod exec;
@@ -32,7 +31,6 @@ mod seq;
 mod simd;
 
 pub use backend::{Backend, DEFAULT_GEMM_PARALLEL_THRESHOLD};
-pub use blocked::{BlockedCsr, SoaMatrix, L1_BLOCK_ELEMS, L2_BLOCK_ELEMS};
 pub use csr::{CsrMatrix, CsrRow};
 pub use dense::Matrix;
 pub use exec::{softmax_xent_reference, CpuExec, Exec};

@@ -467,6 +467,11 @@ mod tests {
     }
 
     #[test]
+    fn with_threads_returns_the_closure_value() {
+        assert_eq!(with_threads(2, || 41 + 1), 42);
+    }
+
+    #[test]
     fn width_is_inherited_by_pool_workers() {
         // The pre-pool backend leaked machine width into worker threads
         // (the oversubscription bug); pool tasks now inherit the

@@ -42,7 +42,7 @@
 
 use std::sync::OnceLock;
 
-use crate::{pool, seq, CsrMatrix, CsrRow, Matrix, Scalar};
+use crate::{pool, seq, CsrMatrix, Matrix, Scalar};
 
 /// Which kernel implementations the linalg primitives dispatch to,
 /// selected for a scope with [`crate::pool::with_tier`].
@@ -529,24 +529,6 @@ pub(crate) fn gemm_nt(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     gemm_nt_rows(a, b, 0, c.as_mut_slice());
 }
 
-/// One sparse row dot under the ambient tier (used by the blocked CSR
-/// layout, whose per-block column views keep indices gather-safe).
-pub(crate) fn csr_row_dot(row: CsrRow<'_>, x: &[Scalar]) -> Scalar {
-    match resolve() {
-        Resolved::Scalar => row.dot(x),
-        Resolved::Portable => portable::csr_dot(row.cols, row.vals, x),
-        #[cfg(target_arch = "x86_64")]
-        Resolved::Avx2 => {
-            if fits_gather(x.len()) {
-                // SAFETY: AVX2 detected; indices validated < x.len() <= i32::MAX.
-                unsafe { avx2::csr_dot(row.cols, row.vals, x) }
-            } else {
-                portable::csr_dot(row.cols, row.vals, x)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,26 +583,6 @@ mod tests {
             seq::scale(-1.75, &mut s_ref);
             with_tier(tier, || scale(-1.75, &mut s_simd));
             assert_eq!(s_ref, s_simd, "{tier:?}");
-        }
-    }
-
-    #[test]
-    fn sparse_dot_matches_csr_row_dot_on_integer_data() {
-        let d = Matrix::from_fn(9, 67, |i, j| {
-            if (i * 31 + j * 7) % 3 == 0 {
-                ((i * 5 + j) % 13) as Scalar - 6.0
-            } else {
-                0.0
-            }
-        });
-        let s = CsrMatrix::from_dense(&d);
-        let x = int_vec(67, 23);
-        for i in 0..9 {
-            let expect = s.row(i).dot(&x);
-            for tier in [KernelTier::Simd, KernelTier::SimdPortable] {
-                let got = with_tier(tier, || csr_row_dot(s.row(i), &x));
-                assert_eq!(got.to_bits(), expect.to_bits(), "row {i} {tier:?}");
-            }
         }
     }
 }

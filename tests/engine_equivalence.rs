@@ -1,23 +1,24 @@
-//! Engine ↔ legacy equivalence: every corner of the 2×2×2 configuration
-//! cube dispatched through `Engine::run` must reproduce the report of the
-//! deprecated `run_*` entry point it replaced.
+//! Engine-level pins over the 2×2×2 configuration cube.
 //!
-//! Corners whose wall-clock execution is deterministic (sequential,
-//! modeled, or simulated-GPU time) are pinned bit-for-bit: identical
-//! labels, epoch counts, and loss trajectories. Corners that race real
-//! threads (wall-clock Hogwild/Hogbatch/replicated with >1 worker) are
-//! nondeterministic by construction, so only the report shape — label,
-//! device, and a non-empty trace — is compared.
-#![allow(deprecated)]
+//! * Every corner dispatched through `Engine::run` reports a well-formed
+//!   run: `device` and `step_size` echo the configuration and the metrics
+//!   carry one row per traced epoch; corners that race real threads
+//!   (wall-clock Hogwild/Hogbatch/replicated with >1 worker) also trace at
+//!   least one epoch, and the GPU Hogwild corner counts update conflicts.
+//!   These are the eleven `*_matches_legacy*` tests: the `run_*` entry
+//!   points they compared the engine against are deleted, the test ids are
+//!   kept, and each asserts what it always asserted of the engine report.
+//! * Replay pins, bit for bit: an empty fault plan, the `Scalar` tier and
+//!   the dispatch mode change nothing on a deterministic corner, sync
+//!   training replays exactly on every device, and the two vector tiers
+//!   agree.
 
 use sgd_study::core::{
-    make_batches, run_gpu_hogbatch, run_gpu_hogwild, run_hogbatch, run_hogbatch_modeled,
-    run_hogwild, run_hogwild_modeled, run_replicated_hogwild, run_sync, run_sync_modeled,
-    Configuration, CpuModelConfig, DeviceKind, Engine, FaultPlan, GpuAsyncOptions, Replication,
-    RunOptions, RunReport, Strategy, Timing,
+    Configuration, CpuModelConfig, DeviceKind, Engine, FaultPlan, Replication, RunOptions,
+    RunReport, Strategy, Timing,
 };
 use sgd_study::linalg::{CsrMatrix, Matrix};
-use sgd_study::models::{lr, Batch, Examples, MlpTask};
+use sgd_study::models::{lr, Batch, Examples, MlpTask, Task};
 
 fn dense() -> (Matrix, Vec<f64>) {
     let x = Matrix::from_fn(64, 6, |i, j| {
@@ -52,26 +53,28 @@ fn assert_identical(engine: &RunReport, legacy: &RunReport) {
     assert_eq!(engine.outcome, legacy.outcome);
 }
 
-/// Shape-only comparison for racy wall-clock corners.
-fn assert_same_shape(engine: &RunReport, legacy: &RunReport) {
-    assert_eq!(engine.label, legacy.label);
-    assert_eq!(engine.device, legacy.device);
-    assert!(engine.trace.epochs() > 0);
-    assert!(legacy.trace.epochs() > 0);
-    assert_eq!(engine.metrics.epochs.len(), engine.trace.epochs());
+/// Runs one corner and checks what its report must say on its own.
+fn run_well_formed<T: Task>(
+    cfg: &Configuration,
+    task: &T,
+    batch: &Batch<'_>,
+    alpha: f64,
+    o: &RunOptions,
+) -> RunReport {
+    let report = Engine::run(cfg, task, batch, alpha, o);
+    assert_eq!(report.device, cfg.device, "{}", report.label);
+    assert_eq!(report.step_size, alpha, "{}", report.label);
+    assert_eq!(report.metrics.epochs.len(), report.trace.epochs(), "{}", report.label);
+    report
 }
 
 #[test]
 fn sync_wall_matches_legacy_on_every_device() {
     let (x, y) = dense();
     let batch = Batch::new(Examples::Dense(&x), &y);
-    let task = lr(6);
-    let o = opts();
     for device in [DeviceKind::CpuSeq, DeviceKind::CpuPar, DeviceKind::Gpu] {
         let cfg = Configuration::new(device, Strategy::Sync);
-        let engine = Engine::run(&cfg, &task, &batch, 0.5, &o);
-        let legacy = run_sync(&task, &batch, device, 0.5, &o);
-        assert_identical(&engine, &legacy);
+        run_well_formed(&cfg, &lr(6), &batch, 0.5, &opts());
     }
 }
 
@@ -79,71 +82,48 @@ fn sync_wall_matches_legacy_on_every_device() {
 fn sync_modeled_matches_legacy() {
     let (xs, y) = sparse();
     let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let task = lr(16);
-    let o = opts();
     for threads in [1usize, 4] {
         let mc = CpuModelConfig::paper_machine(threads);
-        let device = mc.device();
-        let cfg =
-            Configuration::new(device, Strategy::Sync).with_timing(Timing::Modeled(mc.clone()));
-        let engine = Engine::run(&cfg, &task, &batch, 0.5, &o);
-        let legacy = run_sync_modeled(&task, &batch, &mc, 0.5, &o);
-        assert_identical(&engine, &legacy);
+        let cfg = Configuration::new(mc.device(), Strategy::Sync).with_timing(Timing::Modeled(mc));
+        run_well_formed(&cfg, &lr(16), &batch, 0.5, &opts());
     }
 }
 
 #[test]
 fn hogwild_wall_single_thread_matches_legacy() {
-    // One worker: no races, the interleaving is fixed, so the engine and
-    // the shim must agree bit-for-bit.
     let (xs, y) = sparse();
     let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let task = lr(16);
     let o = RunOptions { threads: 1, ..opts() };
     let cfg = Configuration::new(DeviceKind::CpuSeq, Strategy::Hogwild);
-    let engine = Engine::run(&cfg, &task, &batch, 0.2, &o);
-    let legacy = run_hogwild(&task, &batch, 1, 0.2, &o);
-    assert_identical(&engine, &legacy);
+    run_well_formed(&cfg, &lr(16), &batch, 0.2, &o);
 }
 
 #[test]
 fn hogwild_wall_multithread_matches_legacy_shape() {
     let (xs, y) = sparse();
     let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let task = lr(16);
     let o = RunOptions { threads: 4, ..opts() };
     let cfg = Configuration::new(DeviceKind::CpuPar, Strategy::Hogwild);
-    let engine = Engine::run(&cfg, &task, &batch, 0.2, &o);
-    let legacy = run_hogwild(&task, &batch, 4, 0.2, &o);
-    assert_same_shape(&engine, &legacy);
+    let report = run_well_formed(&cfg, &lr(16), &batch, 0.2, &o);
+    assert!(report.trace.epochs() > 0);
 }
 
 #[test]
 fn hogwild_modeled_matches_legacy() {
     let (xs, y) = sparse();
     let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let task = lr(16);
-    let o = opts();
     let mc = CpuModelConfig::paper_machine(4);
-    let cfg =
-        Configuration::new(mc.device(), Strategy::Hogwild).with_timing(Timing::Modeled(mc.clone()));
-    let engine = Engine::run(&cfg, &task, &batch, 0.2, &o);
-    let legacy = run_hogwild_modeled(&task, &batch, &mc, 0.2, &o);
-    assert_identical(&engine, &legacy);
+    let cfg = Configuration::new(mc.device(), Strategy::Hogwild).with_timing(Timing::Modeled(mc));
+    run_well_formed(&cfg, &lr(16), &batch, 0.2, &opts());
 }
 
 #[test]
 fn gpu_hogwild_matches_legacy_including_conflicts() {
     let (xs, y) = sparse();
     let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let task = lr(16);
-    let o = opts();
-    let gopts = GpuAsyncOptions::default();
-    let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogwild).with_gpu_async(gopts.clone());
-    let engine = Engine::run(&cfg, &task, &batch, 0.2, &o);
-    let legacy = run_gpu_hogwild(&task, &batch, 0.2, &o, &gopts);
-    assert_identical(&engine, &legacy);
-    assert_eq!(engine.update_conflicts(), legacy.update_conflicts());
+    let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogwild);
+    let report = run_well_formed(&cfg, &lr(16), &batch, 0.2, &opts());
+    assert!(report.update_conflicts().is_some());
 }
 
 #[test]
@@ -153,45 +133,27 @@ fn hogbatch_wall_single_thread_matches_legacy() {
     let task = MlpTask::new(vec![6, 4, 2], 42);
     let o = RunOptions { threads: 1, ..opts() };
     let cfg = Configuration::new(DeviceKind::CpuSeq, Strategy::Hogbatch { batch_size: 16 });
-    let engine = Engine::run(&cfg, &task, &full, 0.5, &o);
-    // The engine slices mini-batches internally; mirror it for the shim.
-    let owned = make_batches(&x, &y, 16);
-    let batches: Vec<Batch<'_>> =
-        owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
-    let legacy = run_hogbatch(&task, &full, &batches, 1, 0.5, &o);
-    assert_identical(&engine, &legacy);
+    run_well_formed(&cfg, &task, &full, 0.5, &o);
 }
 
 #[test]
 fn hogbatch_wall_multithread_matches_legacy_shape() {
     let (x, y) = dense();
     let full = Batch::new(Examples::Dense(&x), &y);
-    let task = lr(6);
     let o = RunOptions { threads: 2, ..opts() };
     let cfg = Configuration::new(DeviceKind::CpuPar, Strategy::Hogbatch { batch_size: 16 });
-    let engine = Engine::run(&cfg, &task, &full, 0.2, &o);
-    let owned = make_batches(&x, &y, 16);
-    let batches: Vec<Batch<'_>> =
-        owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
-    let legacy = run_hogbatch(&task, &full, &batches, 2, 0.2, &o);
-    assert_same_shape(&engine, &legacy);
+    let report = run_well_formed(&cfg, &lr(6), &full, 0.2, &o);
+    assert!(report.trace.epochs() > 0);
 }
 
 #[test]
 fn hogbatch_modeled_matches_legacy() {
     let (x, y) = dense();
     let full = Batch::new(Examples::Dense(&x), &y);
-    let task = lr(6);
-    let o = opts();
     let mc = CpuModelConfig::paper_machine(4);
     let cfg = Configuration::new(mc.device(), Strategy::Hogbatch { batch_size: 16 })
-        .with_timing(Timing::Modeled(mc.clone()));
-    let engine = Engine::run(&cfg, &task, &full, 0.2, &o);
-    let owned = make_batches(&x, &y, 16);
-    let batches: Vec<Batch<'_>> =
-        owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
-    let legacy = run_hogbatch_modeled(&task, &full, &batches, &mc, 0.2, &o);
-    assert_identical(&engine, &legacy);
+        .with_timing(Timing::Modeled(mc));
+    run_well_formed(&cfg, &lr(6), &full, 0.2, &opts());
 }
 
 #[test]
@@ -199,16 +161,8 @@ fn gpu_hogbatch_matches_legacy() {
     let (x, y) = dense();
     let full = Batch::new(Examples::Dense(&x), &y);
     let task = MlpTask::new(vec![6, 4, 2], 42);
-    let o = opts();
-    let gopts = GpuAsyncOptions::default();
-    let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogbatch { batch_size: 16 })
-        .with_gpu_async(gopts.clone());
-    let engine = Engine::run(&cfg, &task, &full, 0.5, &o);
-    let owned = make_batches(&x, &y, 16);
-    let batches: Vec<Batch<'_>> =
-        owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
-    let legacy = run_gpu_hogbatch(&task, &full, &batches, 0.5, &o, &gopts);
-    assert_identical(&engine, &legacy);
+    let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogbatch { batch_size: 16 });
+    run_well_formed(&cfg, &task, &full, 0.5, &opts());
 }
 
 #[test]
@@ -268,16 +222,14 @@ fn empty_fault_plan_is_bit_identical_on_every_deterministic_corner() {
 fn replicated_hogwild_matches_legacy_shape() {
     let (xs, y) = sparse();
     let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let task = lr(16);
     let o = RunOptions { threads: 4, ..opts() };
     for repl in [Replication::PerMachine, Replication::PerNode { nodes: 2 }, Replication::PerCore] {
         let cfg = Configuration::new(
             DeviceKind::CpuPar,
             Strategy::ReplicatedHogwild { replication: repl },
         );
-        let engine = Engine::run(&cfg, &task, &batch, 0.2, &o);
-        let legacy = run_replicated_hogwild(&task, &batch, 4, 0.2, repl, &o);
-        assert_same_shape(&engine, &legacy);
+        let report = run_well_formed(&cfg, &lr(16), &batch, 0.2, &o);
+        assert!(report.trace.epochs() > 0);
     }
 }
 
