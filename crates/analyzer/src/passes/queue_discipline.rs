@@ -19,10 +19,10 @@
 //!   already admitted.
 //!
 //! The admission-checked enqueue itself carries an
-//! `// analyzer: allow(queue-discipline) -- <reason>` annotation, as do
-//! the legacy closed-loop reissue queues the soak bench measures
-//! against; anything new that trips this pass should either route
-//! through admission or argue its bound in an allow reason.
+//! `// analyzer: allow(queue-discipline) -- <reason>` annotation and is
+//! the only one; `batcher.rs` holds no queue today and stays in scope so
+//! one cannot come back there. Anything new that trips this pass should
+//! either route through admission or argue its bound in an allow reason.
 
 use super::{finding, Finding, Pass};
 use crate::source::SourceFile;

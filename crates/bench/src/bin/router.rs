@@ -22,12 +22,7 @@ fn main() {
                 beats the best single fixed backend"
                 .into())
         },
-        |mut cfg| {
-            // Default to the same mixed workload the CI gate uses: the
-            // paper's dense profile plus a launch-dominated sparse one.
-            if cfg.datasets.is_empty() {
-                cfg.datasets = vec!["w8a".into(), "covtype".into()];
-            }
+        |cfg| {
             let rows = rows(&cfg);
             (render(&rows), to_json(&rows))
         },

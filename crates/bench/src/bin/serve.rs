@@ -19,11 +19,7 @@ fn main() {
             check(&cfg)?;
             Ok("deterministic, batching wins, checkpoint round trip bit-exact".into())
         },
-        |mut cfg| {
-            // Default to the paper's dense profile plus its widest sparse one.
-            if cfg.datasets.is_empty() {
-                cfg.datasets = vec!["covtype".into(), "rcv1".into()];
-            }
+        |cfg| {
             let rows = rows(&cfg);
             (render(&rows), to_json(&rows))
         },

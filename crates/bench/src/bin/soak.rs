@@ -22,10 +22,7 @@ fn main() {
                 hardened tail bounded while the baseline diverges"
                 .into())
         },
-        |mut cfg| {
-            if cfg.datasets.is_empty() {
-                cfg.datasets = vec!["w8a".into()];
-            }
+        |cfg| {
             let rows = rows(&cfg);
             (render(&rows), to_json(&rows))
         },

@@ -14,13 +14,11 @@
 //! somewhere. `check` pins exactly that, plus bit-determinism, and runs
 //! in CI as part of `serve --check`.
 
-use sgd_serve::{
-    open_loop_arrivals, run_open_loop, BatchPolicy, ServeBackend, ServeTiming, Server,
-};
+use sgd_serve::{offered_requests, BatchPolicy, OfferedRequest, ServeBackend, ServeTiming, Server};
 
 use crate::cli::ExperimentConfig;
 use crate::prep::prepare_all;
-use crate::serve::{probe_service_secs, request_pool, train_published_model};
+use crate::serve::{probe_service_secs, request_pool, serve_open, train_published_model};
 
 /// Micro-batcher sizes swept. 256 is the cell where the dense GPU win
 /// shows up: at the modeled rates a 256-row gemv amortizes the K80's
@@ -113,13 +111,13 @@ fn router_cell(
     model: &sgd_serve::ServableModel,
     pool: &sgd_serve::RequestPool,
     batch: usize,
-    arrivals: &[f64],
+    offered: &[OfferedRequest],
     rate: f64,
     dataset: &str,
 ) -> RouterRow {
     let mut srv = contender.server();
     let policy = BatchPolicy::new(batch, MAX_WAIT_SECS);
-    let o = run_open_loop(&mut srv, model, pool, &policy, arrivals);
+    let o = serve_open(&mut srv, model, pool, &policy, offered);
     let mut dispatched = [0usize; 3];
     for label in &o.batch_backends {
         if let Some(i) = candidates().iter().position(|b| &b.label() == label) {
@@ -145,17 +143,24 @@ fn router_cell(
 /// load per backend), every contender in a cell replays the *same*
 /// arrival trace, anchored at twice the cpu-seq unbatched capacity —
 /// latencies are directly comparable, which is what routing is about.
+/// With no datasets selected it sweeps the same mixed workload the CI
+/// gate uses: the paper's dense profile plus a launch-dominated sparse
+/// one.
 pub fn rows(cfg: &ExperimentConfig) -> Vec<RouterRow> {
+    let mut cfg = cfg.clone();
+    if cfg.datasets.is_empty() {
+        cfg.datasets = vec!["w8a".into(), "covtype".into()];
+    }
     let mut out = Vec::new();
-    for p in prepare_all(cfg) {
-        let model = train_published_model(cfg, &p);
+    for p in prepare_all(&cfg) {
+        let model = train_published_model(&cfg, &p);
         let pool = request_pool(&p);
         let probe = probe_service_secs(ServeBackend::CpuSeq, &model, &pool);
         let rate = 2.0 / probe;
-        let arrivals = open_loop_arrivals(rate, REQUESTS, cfg.seed);
+        let offered = offered_requests(rate, REQUESTS, cfg.seed, 1);
         for batch in BATCH_SIZES {
             for c in contenders() {
-                out.push(router_cell(c, &model, &pool, batch, &arrivals, rate, p.name()));
+                out.push(router_cell(c, &model, &pool, batch, &offered, rate, p.name()));
             }
         }
     }
@@ -356,6 +361,12 @@ mod tests {
         assert_eq!(json.matches("\"contender\"").count(), rows.len());
         let table = render(&rows);
         assert!(table.contains("seq/par/gpu"));
+    }
+
+    #[test]
+    fn default_sweep_reproduces_the_committed_bench_file() {
+        let rows = rows(&ExperimentConfig::default());
+        assert_eq!(to_json(&rows), include_str!("../../../BENCH_router.json"));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 
 use sgd_core::{Configuration, DeviceKind, Engine, RunOptions, Strategy, Timing};
 use sgd_serve::{
-    open_loop_arrivals, run_open_loop, BatchPolicy, Checkpoint, CheckpointPublisher, ModelRegistry,
-    RequestPool, ServableModel, ServeBackend, ServeOutcome, ServeTiming, Server, TaskDescriptor,
+    offered_requests, run_admitted, AdmissionPolicy, BatchPolicy, Checkpoint, CheckpointPublisher,
+    ClosedClients, ComputeService, ModelRegistry, OfferedRequest, RequestPool, ServableModel,
+    ServeBackend, ServeOutcome, ServeTiming, Server, TaskDescriptor,
 };
 
 use crate::cli::ExperimentConfig;
@@ -101,37 +102,49 @@ pub fn request_pool(p: &Prepared) -> RequestPool {
 /// that anchors the offered load (shared with the router sweep).
 pub fn probe_service_secs(backend: ServeBackend, model: &ServableModel, pool: &RequestPool) -> f64 {
     let mut srv = Server::new(backend, ServeTiming::Modeled);
-    let out = run_open_loop(&mut srv, model, pool, &BatchPolicy::unbatched(), &[0.0]);
-    out.service_secs.max(1e-9)
+    let (_, secs) = srv.predict(model, &pool.assemble(&[0]).examples());
+    secs.max(1e-9)
 }
 
-/// Runs one cell of the sweep.
-fn serve_cell(
-    backend: ServeBackend,
+/// Serves `offered` open-loop traffic on `server` with nothing shed.
+pub(crate) fn serve_open(
+    server: &mut Server,
     model: &ServableModel,
     pool: &RequestPool,
-    batch: usize,
-    arrivals: &[f64],
+    policy: &BatchPolicy,
+    offered: &[OfferedRequest],
 ) -> ServeOutcome {
-    let mut srv = Server::new(backend, ServeTiming::Modeled);
-    let policy = BatchPolicy::new(batch, MAX_WAIT_SECS);
-    run_open_loop(&mut srv, model, pool, &policy, arrivals)
+    run_admitted(
+        &mut ComputeService::new(server, model, pool),
+        policy,
+        &AdmissionPolicy::unbounded(),
+        offered,
+        &ClosedClients::none(),
+    )
 }
 
 /// Runs the sweep: every selected dataset × backend × batch size, at an
 /// offered load of twice the backend's unbatched capacity (so the
 /// unbatched baseline saturates and batching has something to win).
+/// With no datasets selected it sweeps the paper's dense profile plus its
+/// widest sparse one.
 pub fn rows(cfg: &ExperimentConfig) -> Vec<ServeRow> {
+    let mut cfg = cfg.clone();
+    if cfg.datasets.is_empty() {
+        cfg.datasets = vec!["covtype".into(), "rcv1".into()];
+    }
     let mut out = Vec::new();
-    for p in prepare_all(cfg) {
-        let model = train_published_model(cfg, &p);
+    for p in prepare_all(&cfg) {
+        let model = train_published_model(&cfg, &p);
         let pool = request_pool(&p);
         for backend in backends() {
             let probe = probe_service_secs(backend, &model, &pool);
             let rate = 2.0 / probe;
-            let arrivals = open_loop_arrivals(rate, REQUESTS, cfg.seed);
+            let offered = offered_requests(rate, REQUESTS, cfg.seed, 1);
             for batch in BATCH_SIZES {
-                let o = serve_cell(backend, &model, &pool, batch, &arrivals);
+                let mut srv = Server::new(backend, ServeTiming::Modeled);
+                let policy = BatchPolicy::new(batch, MAX_WAIT_SECS);
+                let o = serve_open(&mut srv, &model, &pool, &policy, &offered);
                 out.push(ServeRow {
                     dataset: p.name().to_string(),
                     backend: backend.label(),
@@ -266,13 +279,14 @@ pub fn check(cfg: &ExperimentConfig) -> Result<(), String> {
         let reloaded = Checkpoint::load(&path).map_err(|e| e.to_string())?;
         std::fs::remove_file(&path).ok();
         let served = ServableModel::from_checkpoint(&reloaded).map_err(|e| e.to_string())?;
-        let arrivals = vec![0.0; 32];
+        let offered: Vec<OfferedRequest> =
+            (0..32).map(|row| OfferedRequest { arrival: 0.0, priority: 0, row }).collect();
         for backend in backends() {
             let pol = BatchPolicy::new(8, MAX_WAIT_SECS);
             let mut s1 = Server::new(backend, ServeTiming::Modeled);
             let mut s2 = Server::new(backend, ServeTiming::Modeled);
-            let live = run_open_loop(&mut s1, &model, &pool, &pol, &arrivals);
-            let cold = run_open_loop(&mut s2, &served, &pool, &pol, &arrivals);
+            let live = serve_open(&mut s1, &model, &pool, &pol, &offered);
+            let cold = serve_open(&mut s2, &served, &pool, &pol, &offered);
             for (i, (x, y)) in live.decisions.iter().zip(&cold.decisions).enumerate() {
                 if x.to_bits() != y.to_bits() {
                     return Err(format!(
@@ -316,6 +330,12 @@ mod tests {
         assert_eq!(json.matches("\"backend\"").count(), rows.len());
         let table = render(&rows);
         assert!(table.contains("p99-ms"));
+    }
+
+    #[test]
+    fn default_sweep_reproduces_the_committed_bench_file() {
+        let rows = rows(&ExperimentConfig::default());
+        assert_eq!(to_json(&rows), include_str!("../../../BENCH_serve.json"));
     }
 
     #[test]

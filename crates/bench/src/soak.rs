@@ -8,11 +8,12 @@
 //! from below saturation to several times past it, against every fixed
 //! backend and the cost-model router, twice each: once under a hardened
 //! [`AdmissionPolicy`] (bounded tiered queue, backpressure, deadline)
-//! and once under [`AdmissionPolicy::unbounded`] (the legacy loops'
-//! behavior). Batches are priced through [`ModeledService`] — O(1) per
-//! batch — which is what makes a million-request soak feasible in CI
-//! time; the admission/shedding mechanics are identical to the real
-//! compute path (a pinned equivalence test lives in `sgd-serve`).
+//! and once under [`AdmissionPolicy::unbounded`] (the unhardened
+//! baseline the serve and router sweeps also run under). Batches are
+//! priced through [`ModeledService`] — O(1) per batch — which is what
+//! makes a million-request soak feasible in CI time; the
+//! admission/shedding mechanics are identical to the real compute path
+//! (a pinned equivalence test lives in `sgd-serve`).
 //!
 //! Everything is seeded and simulated: same seed ⇒ bit-identical shed
 //! decisions, outcome counts, and latency summaries. `check` pins that,
@@ -197,9 +198,14 @@ fn cells(cfg: &ExperimentConfig, dims: &SoakDims) -> Vec<SoakRow> {
     out
 }
 
-/// Runs the full soak (~10^6 modeled requests on the default dims).
+/// Runs the full soak (~10^6 modeled requests on the default dims), on
+/// w8a when no datasets are selected.
 pub fn rows(cfg: &ExperimentConfig) -> Vec<SoakRow> {
-    cells(cfg, &SoakDims::full())
+    let mut cfg = cfg.clone();
+    if cfg.datasets.is_empty() {
+        cfg.datasets = vec!["w8a".into()];
+    }
+    cells(&cfg, &SoakDims::full())
 }
 
 /// Hand-rolled JSON for `BENCH_soak.json` (no JSON dependency; every
@@ -371,6 +377,12 @@ mod tests {
         assert_eq!(json.matches("\"policy\"").count(), rows.len());
         let table = render(&rows);
         assert!(table.contains("p999-ms"));
+    }
+
+    #[test]
+    fn default_sweep_reproduces_the_committed_bench_file() {
+        let rows = rows(&ExperimentConfig::default());
+        assert_eq!(to_json(&rows), include_str!("../../../BENCH_soak.json"));
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Admission control, priority shedding, and deadline enforcement for
-//! the batcher: the serving layer's graceful-degradation contract.
+//! The serving simulator: the batcher's one deterministic discrete-event
+//! loop, with admission control, priority shedding, and deadline
+//! enforcement in front of its queue — the serving layer's
+//! graceful-degradation contract.
 //!
-//! The legacy open/closed loops in [`crate::batcher`] queue without
-//! bound: past saturation both the queue and the latency tail diverge.
-//! The async-SGD literature this repo reproduces is fundamentally about
-//! *bounded* degradation under contention — stale or dropped work is
-//! accounted for by design, never silently accumulated — and the serving
-//! layer obeys the same discipline here. [`run_admitted`] replays the
-//! batcher's deterministic discrete-event simulation with an
-//! [`AdmissionPolicy`] in front of the queue, so every offered request
-//! resolves to exactly one typed [`RequestOutcome`]:
+//! A queue without bound diverges past saturation: both the queue and
+//! the latency tail grow with the overload. The async-SGD literature
+//! this repo reproduces is fundamentally about *bounded* degradation
+//! under contention — stale or dropped work is accounted for by design,
+//! never silently accumulated — and the serving layer obeys the same
+//! discipline here. [`run_admitted`] simulates open- and closed-loop
+//! traffic through the batcher with an [`AdmissionPolicy`] in front of
+//! the queue, so every offered request resolves to exactly one typed
+//! [`RequestOutcome`]:
 //!
 //! * [`RequestOutcome::Completed`] — admitted, served, latency recorded;
 //! * [`RequestOutcome::RejectedBackpressure`] — the in-flight bound
@@ -24,12 +26,13 @@
 //!
 //! Conservation is structural — `completed + shed + rejected == offered`
 //! ([`OutcomeCounts::offered`]) — and the soak bench asserts it; there
-//! is no silent-drop path. Under [`AdmissionPolicy::unbounded`] the
-//! runner reproduces [`crate::batcher::run_open_loop`] bit for bit (a
-//! pinned test below): the hardened path and the unhardened baseline are
-//! the *same* simulation, differing only in policy. Same seed, same
-//! offered load ⇒ bit-identical shed decisions, latencies, and
-//! summaries.
+//! is no silent-drop path. [`AdmissionPolicy::unbounded`] is the
+//! unhardened baseline — nothing is shed — and the serve and router
+//! benches run under it; the golden-pin tests in `sgd-bench` hold their
+//! committed bench files byte for byte. The hardened path and the
+//! baseline are the *same* simulation, differing only in policy. Same
+//! seed, same offered load ⇒ bit-identical shed decisions, latencies,
+//! and summaries.
 
 use std::collections::VecDeque;
 
@@ -95,11 +98,6 @@ impl OutcomeCounts {
         self.shed_admission + self.shed_deadline + self.rejected
     }
 
-    /// A ledger for a legacy (unhardened) run: everything completed.
-    pub fn all_completed(n: usize) -> Self {
-        OutcomeCounts { completed: n, ..OutcomeCounts::default() }
-    }
-
     fn record(&mut self, o: RequestOutcome) {
         match o {
             RequestOutcome::Completed { .. } => self.completed += 1,
@@ -144,9 +142,10 @@ impl AdmissionPolicy {
         }
     }
 
-    /// The legacy no-op policy: nothing is ever shed or rejected.
-    /// [`run_admitted`] under this policy is bit-identical to the
-    /// unhardened loops.
+    /// The no-op policy: nothing is ever shed or rejected, so every
+    /// offered request completes. [`run_admitted`] under this policy is
+    /// the unhardened baseline the serve, router, and soak benches
+    /// measure.
     pub fn unbounded() -> Self {
         AdmissionPolicy {
             max_queue: usize::MAX,
@@ -634,7 +633,7 @@ pub fn run_admitted<S: BatchService>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::{run_open_loop, ServeBackend, ServeTiming};
+    use crate::batcher::{ServeBackend, ServeTiming};
     use crate::checkpoint::Checkpoint;
     use crate::model::TaskDescriptor;
     use sgd_linalg::Matrix;
@@ -660,50 +659,6 @@ mod tests {
             .enumerate()
             .map(|(i, &t)| OfferedRequest { arrival: t, priority: 0, row: i })
             .collect()
-    }
-
-    #[test]
-    fn unbounded_policy_reproduces_the_legacy_open_loop_bitwise() {
-        let model = lr_model(3);
-        let pool = toy_pool();
-        for policy in
-            [BatchPolicy::unbatched(), BatchPolicy::new(4, 1e-4), BatchPolicy::new(8, 0.05)]
-        {
-            let arrivals: Vec<f64> = (0..64).map(|i| (i as f64) * 7e-6).collect();
-            let legacy = run_open_loop(
-                &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
-                &model,
-                &pool,
-                &policy,
-                &arrivals,
-            );
-            let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
-            let mut svc = ComputeService::new(&mut srv, &model, &pool);
-            let admitted = run_admitted(
-                &mut svc,
-                &policy,
-                &AdmissionPolicy::unbounded(),
-                &open_reqs(&arrivals),
-                &ClosedClients::none(),
-            );
-            assert_eq!(admitted.counts.offered(), 64);
-            assert_eq!(admitted.counts.completed, 64);
-            assert_eq!(admitted.batches, legacy.batches, "policy {policy:?}");
-            assert_eq!(admitted.max_batch_seen, legacy.max_batch_seen);
-            // Outcome i corresponds to legacy latency i (arrival order).
-            for (i, (o, l)) in admitted.outcomes.iter().zip(&legacy.latencies).enumerate() {
-                let RequestOutcome::Completed { latency } = *o else {
-                    panic!("request {i} must complete under the unbounded policy")
-                };
-                assert_eq!(latency.to_bits(), l.to_bits(), "latency {i}, policy {policy:?}");
-            }
-            // Open-loop batches drain in arrival order, so completion
-            // order == arrival order and decisions align bitwise.
-            for (d, l) in admitted.decisions.iter().zip(&legacy.decisions) {
-                assert_eq!(d.to_bits(), l.to_bits());
-            }
-            assert_eq!(admitted.summary.p99.to_bits(), legacy.summary.p99.to_bits());
-        }
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! Request micro-batcher: admission queue, batching policy, and batched
-//! dispatch through the unified backend layer.
+//! Request micro-batcher: batching policy and batched dispatch through
+//! the unified backend layer.
 //!
-//! Single-example predict requests enter an admission queue; the batcher
-//! coalesces them into batches under a policy (max batch size `B`, max
-//! wait `W`) and dispatches each batch as *one* gemv/spmv/gemm stream
-//! through [`sgd_core::ComputeBackend`] — the same dispatch
-//! implementation training uses. `B = 1, W = 0` degenerates to unbatched
-//! per-request dispatch — the baseline the bench compares against.
+//! Single-example predict requests are coalesced into batches under a
+//! policy (max batch size `B`, max wait `W`) and each batch dispatches as
+//! *one* gemv/spmv/gemm stream through [`sgd_core::ComputeBackend`] — the
+//! same dispatch implementation training uses. `B = 1, W = 0` degenerates
+//! to unbatched per-request dispatch — the baseline the bench compares
+//! against.
 //!
-//! Queueing is simulated as a deterministic discrete-event system over
-//! request arrival timestamps: given identical arrivals, policy, and a
-//! modeled service clock, every latency in the outcome is bit-identical
-//! across runs. The batch trigger rule is the classic one: a batch
-//! launches when `B` requests are pending or the oldest pending request
-//! has waited `W`, whichever comes first, and never before the server is
-//! free again.
+//! Queueing is simulated by [`crate::admission::run_admitted`], the one
+//! deterministic discrete-event loop over request arrival timestamps:
+//! given identical arrivals, policy, and a modeled service clock, every
+//! latency in the outcome is bit-identical across runs. The batch trigger
+//! rule is the classic one: a batch launches when `B` requests are
+//! pending or the oldest pending request has waited `W`, whichever comes
+//! first, and never before the server is free again.
 //!
 //! Service time comes from a [`ServeTiming`]: `Modeled` charges the
 //! shared [`CostModel`] estimate (bit-exact across runs; the
@@ -31,15 +31,11 @@
 //! small/sparse → cpu), turning the paper's guidance table into a live
 //! scheduling policy.
 
-use sgd_core::{
-    BackendFault, BackendSession, ComputeBackend, CostModel, ExecTask, FaultPlan, GpuDispatch,
-    Workload,
-};
+use sgd_core::{BackendSession, ComputeBackend, CostModel, ExecTask, GpuDispatch, Workload};
 use sgd_linalg::{pool, Exec, Scalar};
 use sgd_models::Examples;
 
 use crate::admission::{OutcomeCounts, RequestOutcome};
-use crate::loadgen::RequestPool;
 use crate::model::ServableModel;
 use crate::stats::LatencySummary;
 
@@ -176,14 +172,6 @@ impl Server {
         }
     }
 
-    /// Installs a fault gate on the server's backend session: every
-    /// subsequent [`Server::try_predict`] draws one decision from `plan`
-    /// (see [`sgd_core::DispatchFaults`]). The ungated [`Server::predict`]
-    /// path ignores the gate entirely.
-    pub fn install_faults(&mut self, plan: FaultPlan) {
-        self.session.install_faults(plan);
-    }
-
     /// Binds the batch's buffers to stable logical names before a GPU
     /// dispatch: each batch is a fresh host allocation, but a fixed name
     /// keeps the virtual address — the device L2 stays warm across
@@ -203,9 +191,6 @@ impl Server {
     }
 
     /// Service seconds of a finished dispatch under this server's clock.
-    /// The modeled CPU estimate is dilated by the dispatch's fault factor
-    /// (1.0 on the ungated path); the wall and simulated-GPU clocks are
-    /// already dilated by the gate itself.
     fn service_secs(
         &self,
         backend: ComputeBackend,
@@ -213,22 +198,17 @@ impl Server {
         x: &Examples<'_>,
         wall_secs: f64,
         gpu: Option<GpuDispatch>,
-        fault_dilation: f64,
     ) -> f64 {
         match (backend, self.timing) {
             // The simulated GPU always answers with its own clock.
             (ComputeBackend::GpuSim, _) => gpu.map(|g| g.sim_secs).unwrap_or(0.0),
             (_, ServeTiming::Wall) => wall_secs,
-            (b, ServeTiming::Modeled) => {
-                self.cost.estimate_secs(&b, &predict_workload(model, x)) * fault_dilation
-            }
+            (b, ServeTiming::Modeled) => self.cost.estimate_secs(&b, &predict_workload(model, x)),
         }
     }
 
     /// Scores one batch: returns each example's decision value and the
-    /// service time in seconds under this server's clock. This is the
-    /// unconditional path — any installed fault gate is bypassed; fault-
-    /// surfacing front-ends go through [`Server::try_predict`].
+    /// service time in seconds under this server's clock.
     pub fn predict(&mut self, model: &ServableModel, x: &Examples<'_>) -> (Vec<Scalar>, f64) {
         let backend = self.route(model, x);
         self.last_backend = backend;
@@ -238,30 +218,8 @@ impl Server {
         let mut job = PredictJob { model, x };
         let d = backend.dispatch(&mut self.session, &mut job);
         self.last_gpu = d.gpu.or(self.last_gpu);
-        let secs = self.service_secs(backend, model, x, d.wall_secs, d.gpu, 1.0);
+        let secs = self.service_secs(backend, model, x, d.wall_secs, d.gpu);
         (d.out, secs)
-    }
-
-    /// Scores one batch through the session's fault gate: a dead backend
-    /// surfaces as a typed [`BackendFault`] (the job never runs), a
-    /// straggling one completes with its service time dilated. Without
-    /// an installed gate this is exactly [`Server::predict`] and never
-    /// fails.
-    pub fn try_predict(
-        &mut self,
-        model: &ServableModel,
-        x: &Examples<'_>,
-    ) -> Result<(Vec<Scalar>, f64), BackendFault> {
-        let backend = self.route(model, x);
-        self.last_backend = backend;
-        if backend == ComputeBackend::GpuSim {
-            self.bind_gpu_buffers(model, x);
-        }
-        let mut job = PredictJob { model, x };
-        let d = backend.try_dispatch(&mut self.session, &mut job)?;
-        self.last_gpu = d.gpu.or(self.last_gpu);
-        let secs = self.service_secs(backend, model, x, d.wall_secs, d.gpu, d.fault_dilation);
-        Ok((d.out, secs))
     }
 }
 
@@ -305,16 +263,14 @@ pub fn predict_workload(model: &ServableModel, x: &Examples<'_>) -> Workload {
     }
 }
 
-/// Floating-point operation estimate of one batched predict.
-pub fn predict_flops(model: &ServableModel, x: &Examples<'_>) -> f64 {
-    predict_workload(model, x).flops
-}
-
 /// Everything one serving run produced.
 #[derive(Clone, Debug)]
 pub struct ServeOutcome {
-    /// Per-request latency (completion − arrival), seconds. Open loop:
-    /// indexed by arrival order. Closed loop: completion order.
+    /// Latency (completion − arrival) of every completed request,
+    /// seconds, in completion order. For single-tier open-loop traffic
+    /// under [`crate::admission::AdmissionPolicy::unbounded`] that is
+    /// arrival order, which is what callers zipping two runs' decisions
+    /// index-wise rely on.
     pub latencies: Vec<f64>,
     /// Per-request decision values, same order as `latencies`.
     pub decisions: Vec<Scalar>,
@@ -331,223 +287,22 @@ pub struct ServeOutcome {
     pub makespan: f64,
     /// Latency/throughput summary.
     pub summary: LatencySummary,
-    /// How each offered request resolved, indexed by request id (the
-    /// legacy loops never shed, so every entry is `Completed`; the
-    /// admission-controlled runner records the full taxonomy). Never a
-    /// silent drop: `outcomes.len() == counts.offered()`.
+    /// How each offered request resolved, indexed by request id (see
+    /// [`crate::admission::run_admitted`]). Never a silent drop:
+    /// `outcomes.len() == counts.offered()`.
     pub outcomes: Vec<RequestOutcome>,
     /// The conservation ledger over `outcomes`.
     pub counts: OutcomeCounts,
 }
 
-impl ServeOutcome {
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        latencies: Vec<f64>,
-        decisions: Vec<Scalar>,
-        batches: usize,
-        max_batch_seen: usize,
-        batch_backends: Vec<String>,
-        service_secs: f64,
-        first_arrival: f64,
-        last_finish: f64,
-    ) -> Self {
-        let makespan = (last_finish - first_arrival).max(0.0);
-        let summary = LatencySummary::from_latencies(&latencies, makespan);
-        let outcomes: Vec<RequestOutcome> =
-            latencies.iter().map(|&l| RequestOutcome::Completed { latency: l }).collect();
-        let counts = OutcomeCounts::all_completed(outcomes.len());
-        ServeOutcome {
-            latencies,
-            decisions,
-            batches,
-            max_batch_seen,
-            batch_backends,
-            service_secs,
-            makespan,
-            summary,
-            outcomes,
-            counts,
-        }
-    }
-}
-
-/// Runs an open-loop workload: request `i` (features = pool row
-/// `i % pool.len()`) arrives at `arrivals[i]` regardless of server
-/// progress. Returns per-request latencies in arrival order.
-pub fn run_open_loop(
-    server: &mut Server,
-    model: &ServableModel,
-    requests: &RequestPool,
-    policy: &BatchPolicy,
-    arrivals: &[f64],
-) -> ServeOutcome {
-    let n = arrivals.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let (ta, tb) = (arrivals.get(a), arrivals.get(b));
-        match (ta, tb) {
-            (Some(x), Some(y)) => x.total_cmp(y).then(a.cmp(&b)),
-            _ => a.cmp(&b),
-        }
-    });
-
-    let mut latencies = vec![0.0; n];
-    let mut decisions = vec![0.0; n];
-    let mut batches = 0;
-    let mut max_batch_seen = 0;
-    let mut batch_backends = Vec::new();
-    let mut service_secs = 0.0;
-    let mut t_free = 0.0f64;
-    let mut last_finish = 0.0f64;
-    let first_arrival = order.first().and_then(|&i| arrivals.get(i)).copied().unwrap_or(0.0);
-
-    let mut idx = 0;
-    while idx < n {
-        let Some(&first_id) = order.get(idx) else { break };
-        let t_first = arrivals.get(first_id).copied().unwrap_or(0.0);
-        // Trigger: B pending, or the oldest has waited W.
-        let deadline = t_first + policy.max_wait;
-        let t_full = order
-            .get(idx + policy.max_batch.saturating_sub(1))
-            .and_then(|&i| arrivals.get(i))
-            .copied()
-            .unwrap_or(f64::INFINITY);
-        let trigger = deadline.min(t_full);
-        let start = t_free.max(trigger);
-        // Everything that has arrived by the start joins, up to B.
-        let mut count = 0;
-        while count < policy.max_batch {
-            match order.get(idx + count).and_then(|&i| arrivals.get(i)) {
-                Some(&t) if t <= start => count += 1,
-                _ => break,
-            }
-        }
-        let count = count.max(1);
-        let ids: Vec<usize> = order.iter().skip(idx).take(count).copied().collect();
-        let rows: Vec<usize> = ids.iter().map(|&i| i % requests.len().max(1)).collect();
-        let batch = requests.assemble(&rows);
-        let (out, secs) = server.predict(model, &batch.examples());
-        let finish = start + secs;
-        for (k, &id) in ids.iter().enumerate() {
-            if let (Some(l), Some(d)) = (latencies.get_mut(id), decisions.get_mut(id)) {
-                *l = finish - arrivals.get(id).copied().unwrap_or(0.0);
-                *d = out.get(k).copied().unwrap_or(f64::NAN);
-            }
-        }
-        batches += 1;
-        max_batch_seen = max_batch_seen.max(count);
-        batch_backends.push(server.backend().label());
-        service_secs += secs;
-        t_free = finish;
-        last_finish = last_finish.max(finish);
-        idx += count;
-    }
-    ServeOutcome::finish(
-        latencies,
-        decisions,
-        batches,
-        max_batch_seen,
-        batch_backends,
-        service_secs,
-        first_arrival,
-        last_finish,
-    )
-}
-
-/// Runs a closed-loop workload: `clients` concurrent clients each issue
-/// `per_client` requests, re-issuing `think` seconds after each
-/// completion. Latencies are reported in completion order.
-pub fn run_closed_loop(
-    server: &mut Server,
-    model: &ServableModel,
-    requests: &RequestPool,
-    policy: &BatchPolicy,
-    clients: usize,
-    per_client: usize,
-    think: f64,
-) -> ServeOutcome {
-    // (arrival, client, row) — every pending request. New arrivals only
-    // ever appear after a completion, so at each dispatch decision the
-    // pending set is complete: the event simulation is exact.
-    let mut pending: Vec<(f64, usize, usize)> = Vec::with_capacity(clients);
-    let mut remaining = vec![per_client; clients];
-    let mut issued = 0usize;
-    for c in 0..clients {
-        if let Some(r) = remaining.get_mut(c) {
-            if *r > 0 {
-                *r -= 1;
-                // analyzer: allow(queue-discipline) -- unhardened baseline the soak measures against
-                pending.push((0.0, c, issued % requests.len().max(1)));
-                issued += 1;
-            }
-        }
-    }
-
-    let mut latencies = Vec::with_capacity(clients * per_client);
-    let mut decisions = Vec::with_capacity(clients * per_client);
-    let mut batches = 0;
-    let mut max_batch_seen = 0;
-    let mut batch_backends = Vec::new();
-    let mut service_secs = 0.0;
-    let mut t_free = 0.0f64;
-    let mut last_finish = 0.0f64;
-
-    while !pending.is_empty() {
-        pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let t_first = pending.first().map(|p| p.0).unwrap_or(0.0);
-        let deadline = t_first + policy.max_wait;
-        let t_full =
-            pending.get(policy.max_batch.saturating_sub(1)).map(|p| p.0).unwrap_or(f64::INFINITY);
-        let start = t_free.max(deadline.min(t_full));
-        let mut count = 0;
-        while count < policy.max_batch {
-            match pending.get(count) {
-                Some(&(t, _, _)) if t <= start => count += 1,
-                _ => break,
-            }
-        }
-        let count = count.max(1).min(pending.len());
-        let batch_reqs: Vec<(f64, usize, usize)> = pending.drain(..count).collect();
-        let rows: Vec<usize> = batch_reqs.iter().map(|&(_, _, r)| r).collect();
-        let assembled = requests.assemble(&rows);
-        let (out, secs) = server.predict(model, &assembled.examples());
-        let finish = start + secs;
-        for (k, &(arrival, client, _)) in batch_reqs.iter().enumerate() {
-            latencies.push(finish - arrival);
-            decisions.push(out.get(k).copied().unwrap_or(f64::NAN));
-            if let Some(r) = remaining.get_mut(client) {
-                if *r > 0 {
-                    *r -= 1;
-                    // analyzer: allow(queue-discipline) -- unhardened baseline the soak measures against
-                    pending.push((finish + think, client, issued % requests.len().max(1)));
-                    issued += 1;
-                }
-            }
-        }
-        batches += 1;
-        max_batch_seen = max_batch_seen.max(count);
-        batch_backends.push(server.backend().label());
-        service_secs += secs;
-        t_free = finish;
-        last_finish = last_finish.max(finish);
-    }
-    ServeOutcome::finish(
-        latencies,
-        decisions,
-        batches,
-        max_batch_seen,
-        batch_backends,
-        service_secs,
-        0.0,
-        last_finish,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::{
+        run_admitted, AdmissionPolicy, ClosedClients, ComputeService, OfferedRequest,
+    };
     use crate::checkpoint::Checkpoint;
+    use crate::loadgen::RequestPool;
     use crate::model::TaskDescriptor;
     use sgd_linalg::Matrix;
 
@@ -566,13 +321,35 @@ mod tests {
         ]))
     }
 
+    /// Unbounded open-loop run: request `i` arrives at `arrivals[i]` and
+    /// scores pool row `i`.
+    fn open_loop(
+        server: &mut Server,
+        model: &ServableModel,
+        pool: &RequestPool,
+        policy: &BatchPolicy,
+        arrivals: &[f64],
+    ) -> ServeOutcome {
+        let open: Vec<OfferedRequest> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(row, &arrival)| OfferedRequest { arrival, priority: 0, row })
+            .collect();
+        run_admitted(
+            &mut ComputeService::new(server, model, pool),
+            policy,
+            &AdmissionPolicy::unbounded(),
+            &open,
+            &ClosedClients::none(),
+        )
+    }
+
     #[test]
     fn unbatched_policy_serves_one_request_per_batch() {
         let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
         let model = lr_model(3);
         let arrivals: Vec<f64> = (0..6).map(|i| i as f64 * 1e-3).collect();
-        let out =
-            run_open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::unbatched(), &arrivals);
+        let out = open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::unbatched(), &arrivals);
         assert_eq!(out.batches, 6);
         assert_eq!(out.max_batch_seen, 1);
         assert_eq!(out.summary.n, 6);
@@ -588,8 +365,7 @@ mod tests {
         // All 8 requests arrive at t=0: the first dispatches alone or the
         // batch fills instantly, depending on policy.
         let arrivals = vec![0.0; 8];
-        let out =
-            run_open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(4, 1.0), &arrivals);
+        let out = open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(4, 1.0), &arrivals);
         assert_eq!(out.batches, 2, "8 simultaneous requests at B=4 is 2 batches");
         assert_eq!(out.max_batch_seen, 4);
     }
@@ -600,8 +376,7 @@ mod tests {
         let model = lr_model(3);
         // One early request, one far later: W must flush the first alone.
         let arrivals = vec![0.0, 1.0];
-        let out =
-            run_open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(64, 0.01), &arrivals);
+        let out = open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(64, 0.01), &arrivals);
         assert_eq!(out.batches, 2);
         // First request waited W, then service.
         let l0 = out.latencies.first().copied().unwrap_or(0.0);
@@ -615,20 +390,15 @@ mod tests {
         let model = lr_model(3);
         let pool = toy_pool();
         let arrivals = vec![0.0; 5];
-        let out = run_open_loop(&mut srv, &model, &pool, &BatchPolicy::new(3, 1e-3), &arrivals);
+        let out = open_loop(&mut srv, &model, &pool, &BatchPolicy::new(3, 1e-3), &arrivals);
         // Request i uses pool row i % 3; compare to a direct single-row
         // predict on the same backend.
         for i in 0..5 {
-            let direct = run_open_loop(
-                &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
-                &model,
-                &pool.slice_rows(&[i % 3]),
-                &BatchPolicy::unbatched(),
-                &[0.0],
-            );
+            let (direct, _) = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled)
+                .predict(&model, &pool.assemble(&[i % 3]).examples());
             assert_eq!(
                 out.decisions.get(i).copied().map(f64::to_bits),
-                direct.decisions.first().copied().map(f64::to_bits),
+                direct.first().copied().map(f64::to_bits),
                 "request {i} decision must match a direct predict bitwise"
             );
         }
@@ -640,7 +410,7 @@ mod tests {
         let arrivals: Vec<f64> = (0..40).map(|i| i as f64 * 1e-6).collect();
         let run = || {
             let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
-            run_open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(8, 1e-4), &arrivals)
+            open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(8, 1e-4), &arrivals)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.latencies.len(), b.latencies.len());
@@ -658,7 +428,7 @@ mod tests {
         let arrivals = vec![0.0; 32];
         let serve = |policy: BatchPolicy| {
             let mut srv = Server::new(ServeBackend::GpuSim, ServeTiming::Modeled);
-            run_open_loop(&mut srv, &model, &toy_pool(), &policy, &arrivals)
+            open_loop(&mut srv, &model, &toy_pool(), &policy, &arrivals)
         };
         let unbatched = serve(BatchPolicy::unbatched());
         let unbatched2 = serve(BatchPolicy::unbatched());
@@ -681,8 +451,13 @@ mod tests {
     fn closed_loop_completes_every_request() {
         let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
         let model = lr_model(3);
-        let out =
-            run_closed_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(4, 1e-4), 3, 5, 0.0);
+        let out = run_admitted(
+            &mut ComputeService::new(&mut srv, &model, &toy_pool()),
+            &BatchPolicy::new(4, 1e-4),
+            &AdmissionPolicy::unbounded(),
+            &[],
+            &ClosedClients { clients: 3, per_client: 5, think: 0.0, priority: 0 },
+        );
         assert_eq!(out.summary.n, 15);
         assert_eq!(out.latencies.len(), 15);
         assert!(out.batches >= 5, "at most `clients` requests per batch");
@@ -696,7 +471,13 @@ mod tests {
         let model = lr_model(3);
         let run = || {
             let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
-            run_closed_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(2, 1e-5), 4, 6, 1e-6)
+            run_admitted(
+                &mut ComputeService::new(&mut srv, &model, &toy_pool()),
+                &BatchPolicy::new(2, 1e-5),
+                &AdmissionPolicy::unbounded(),
+                &[],
+                &ClosedClients { clients: 4, per_client: 6, think: 1e-6, priority: 0 },
+            )
         };
         let (a, b) = (run(), run());
         for (x, y) in a.latencies.iter().zip(&b.latencies) {
@@ -710,14 +491,14 @@ mod tests {
         let model = lr_model(3);
         let arrivals = vec![0.0; 9];
         let pol = BatchPolicy::new(3, 1e-4);
-        let seq = run_open_loop(
+        let seq = open_loop(
             &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
             &model,
             &toy_pool(),
             &pol,
             &arrivals,
         );
-        let par = run_open_loop(
+        let par = open_loop(
             &mut Server::new(ServeBackend::CpuPar { threads: 4 }, ServeTiming::Modeled),
             &model,
             &toy_pool(),
@@ -767,14 +548,14 @@ mod tests {
         let run = || {
             let mut srv =
                 Server::routed(ComputeBackend::fixed_set(4).to_vec(), ServeTiming::Modeled);
-            run_open_loop(&mut srv, &model, &toy_pool(), &pol, &arrivals)
+            open_loop(&mut srv, &model, &toy_pool(), &pol, &arrivals)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.batch_backends, b.batch_backends, "same arrivals, same routing");
         for (x, y) in a.latencies.iter().zip(&b.latencies) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        let fixed = run_open_loop(
+        let fixed = open_loop(
             &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
             &model,
             &toy_pool(),

@@ -47,12 +47,9 @@ pub use admission::{
     run_admitted, AdmissionPolicy, BatchService, ClosedClients, ComputeService, ModeledService,
     OfferedRequest, OutcomeCounts, RequestOutcome,
 };
-pub use batcher::{
-    predict_workload, run_closed_loop, run_open_loop, BatchPolicy, ServeBackend, ServeOutcome,
-    ServeTiming, Server,
-};
+pub use batcher::{predict_workload, BatchPolicy, ServeBackend, ServeOutcome, ServeTiming, Server};
 pub use checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION, MAGIC};
-pub use loadgen::{offered_requests, open_loop_arrivals, AssembledBatch, RequestPool};
+pub use loadgen::{offered_requests, AssembledBatch, RequestPool};
 pub use model::{ServableModel, TaskDescriptor};
 pub use registry::{CheckpointPublisher, ModelRegistry, PublishedModel};
 pub use stats::LatencySummary;

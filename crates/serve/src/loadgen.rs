@@ -3,9 +3,9 @@
 //! Open-loop arrivals are a seeded Poisson process (exponential
 //! inter-arrival times from a `StdRng`): the same seed always produces
 //! the same timestamps, so a modeled-timing serve run is reproducible
-//! bit-for-bit. Closed-loop load (clients re-issuing on completion)
-//! needs no randomness at all and lives in
-//! [`crate::batcher::run_closed_loop`].
+//! bit-for-bit. Closed-loop load (clients re-issuing on resolution)
+//! needs no randomness at all: it is a [`crate::admission::ClosedClients`]
+//! simulated by [`crate::admission::run_admitted`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,15 +96,6 @@ impl RequestPool {
             }
         }
     }
-
-    /// A new pool holding only the given rows (wrapping), preserving the
-    /// representation.
-    pub fn slice_rows(&self, rows: &[usize]) -> RequestPool {
-        match self.assemble(rows) {
-            AssembledBatch::Dense(m) => RequestPool::Dense(m),
-            AssembledBatch::Sparse(m) => RequestPool::Sparse(m),
-        }
-    }
 }
 
 /// One coalesced batch, owning its matrix.
@@ -129,7 +120,7 @@ impl AssembledBatch {
 /// `n` open-loop arrival timestamps at `rate` requests/second:
 /// a seeded Poisson process starting at `t = 0`'s first inter-arrival
 /// gap. Non-positive rates or zero requests yield an empty workload.
-pub fn open_loop_arrivals(rate: f64, n: usize, seed: u64) -> Vec<f64> {
+fn open_loop_arrivals(rate: f64, n: usize, seed: u64) -> Vec<f64> {
     let positive = rate.is_finite() && rate > 0.0;
     if !positive || n == 0 {
         return Vec::new();
@@ -146,11 +137,12 @@ pub fn open_loop_arrivals(rate: f64, n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// `n` open-loop [`OfferedRequest`]s at `rate` requests/second: Poisson
-/// arrivals from [`open_loop_arrivals`] plus a deterministic priority
-/// tier in `0..tiers` per request (a seeded splitmix64 draw, independent
-/// of the arrival stream), request `i` scoring pool row `i`. The input
-/// of the admission-controlled runner and the soak bench: same `(rate,
-/// n, seed, tiers)` ⇒ bit-identical offered load.
+/// arrivals (a seeded exponential inter-arrival stream) plus a
+/// deterministic priority tier in `0..tiers` per request (a seeded
+/// splitmix64 draw, independent of the arrival stream), request `i`
+/// scoring pool row `i`. The input of [`crate::admission::run_admitted`]
+/// in every serving bench: same `(rate, n, seed, tiers)` ⇒ bit-identical
+/// offered load.
 pub fn offered_requests(rate: f64, n: usize, seed: u64, tiers: usize) -> Vec<OfferedRequest> {
     let tiers = tiers.max(1) as u64;
     open_loop_arrivals(rate, n, seed)
@@ -238,16 +230,5 @@ mod tests {
         assert_eq!(s.rows(), 3);
         assert_eq!(s.row(0).vals, &[2.5, -0.5]);
         assert_eq!(s.row(2).cols, &[1]);
-    }
-
-    #[test]
-    fn slice_rows_round_trips_through_assemble() {
-        let pool = RequestPool::dense(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
-        let sliced = pool.slice_rows(&[2, 0]);
-        assert_eq!(sliced.len(), 2);
-        let AssembledBatch::Dense(m) = sliced.assemble(&[0, 1]) else {
-            panic!("dense stays dense")
-        };
-        assert_eq!(m.as_slice(), &[3.0, 1.0]);
     }
 }

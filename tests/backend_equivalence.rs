@@ -24,8 +24,8 @@ use sgd_study::linalg::pool::with_threads;
 use sgd_study::linalg::{CpuExec, CsrMatrix, Exec, Matrix};
 use sgd_study::models::Examples;
 use sgd_study::serve::{
-    run_open_loop, BatchPolicy, Checkpoint, RequestPool, ServableModel, ServeTiming, Server,
-    TaskDescriptor,
+    run_admitted, AdmissionPolicy, BatchPolicy, Checkpoint, ClosedClients, ComputeService,
+    OfferedRequest, RequestPool, ServableModel, ServeTiming, Server, TaskDescriptor,
 };
 
 /// Deterministic non-trivial weights for a descriptor's model dim.
@@ -143,14 +143,21 @@ fn serving_decisions_are_bitwise_across_backends_and_runs() {
     let d = 32;
     let model = model_for(TaskDescriptor::LogisticRegression { dim: d as u64 });
     let pool = RequestPool::sparse(sparse_rows(96, d));
-    let arrivals = vec![0.0; 64];
+    let offered: Vec<OfferedRequest> =
+        (0..64).map(|row| OfferedRequest { arrival: 0.0, priority: 0, row }).collect();
     let policy = BatchPolicy::new(8, 2.5e-4);
 
     let mut reference: Option<Vec<f64>> = None;
     for backend in ComputeBackend::fixed_set(4) {
         let run = |_: ()| {
             let mut srv = Server::new(backend, ServeTiming::Modeled);
-            run_open_loop(&mut srv, &model, &pool, &policy, &arrivals)
+            run_admitted(
+                &mut ComputeService::new(&mut srv, &model, &pool),
+                &policy,
+                &AdmissionPolicy::unbounded(),
+                &offered,
+                &ClosedClients::none(),
+            )
         };
         let a = run(());
         let b = run(());
@@ -216,13 +223,13 @@ fn router_decisions_replay_exactly() {
     // A bursty trace: lone requests (cpu-seq territory) alternating with
     // 256-deep bursts (deep enough that a single gemv amortizes the
     // simulated kernel-launch overhead past the CPU's compute time).
-    let mut arrivals = Vec::new();
+    let mut offered = Vec::new();
     let mut t = 0.0;
     for _ in 0..4 {
-        arrivals.push(t);
+        offered.push(OfferedRequest { arrival: t, priority: 0, row: offered.len() });
         t += 1e-3;
         for _ in 0..256 {
-            arrivals.push(t);
+            offered.push(OfferedRequest { arrival: t, priority: 0, row: offered.len() });
         }
         t += 1e-3;
     }
@@ -230,7 +237,13 @@ fn router_decisions_replay_exactly() {
 
     let run = |_: ()| {
         let mut srv = Server::routed(ComputeBackend::fixed_set(4).to_vec(), ServeTiming::Modeled);
-        run_open_loop(&mut srv, &model, &pool, &policy, &arrivals)
+        run_admitted(
+            &mut ComputeService::new(&mut srv, &model, &pool),
+            &policy,
+            &AdmissionPolicy::unbounded(),
+            &offered,
+            &ClosedClients::none(),
+        )
     };
     let a = run(());
     let b = run(());
