@@ -9,9 +9,8 @@
 //! single lines): for every lock-guard binding it scans the guard's
 //! live span for
 //!
-//! * **blocking calls** — `ComputeBackend::{dispatch,try_dispatch}`,
-//!   `pool::run*`, and `TcpStream`/`BufReader` I/O — held across any
-//!   classified guard;
+//! * **blocking calls** — `ComputeBackend::dispatch`, `pool::run*`,
+//!   and `TcpStream`/`BufReader` I/O — held across any classified guard;
 //! * **order inversions** — acquiring a lock of a *lower* rank while
 //!   holding a higher one, per the canonical table below;
 //! * **re-acquisition** of the same lock (self-deadlock on a
@@ -40,9 +39,8 @@ use crate::source::SourceFile;
 
 /// Calls that park the current thread for macroscopic time: backend
 /// dispatch, worker-pool fan-out, socket/buffered-reader I/O.
-const BLOCKING: [(&str, &str); 11] = [
+const BLOCKING: [(&str, &str); 10] = [
     (".dispatch(", "a backend dispatch"),
-    (".try_dispatch(", "a backend dispatch"),
     ("pool::run(", "a worker-pool fan-out"),
     (".write_all(", "socket I/O"),
     (".flush(", "socket I/O"),

@@ -11,8 +11,9 @@
 //! * `unwrap()`, `expect(`, `panic!`, `unreachable!`, `todo!`,
 //!   `unimplemented!` — convert to typed errors, or annotate with
 //!   `// analyzer: allow(panic-freedom) -- <why it cannot fire>`;
-//! * in the untrusted-byte parsers (`libsvm.rs`, and the serving crate's
-//!   `checkpoint.rs` and `wire.rs`) and in the overload decision paths
+//! * in the untrusted-byte parsers (`libsvm.rs`, the serving crate's
+//!   `checkpoint.rs`, both `wire.rs` protocols, and `framing.rs`, the one
+//!   loop over wire bytes) and in the overload decision paths
 //!   (`admission.rs`, whose shed/reject/deadline branches run exactly
 //!   when the system is already degraded), `[idx]` indexing into parsed
 //!   fields — wire/file input and queue state must flow through
@@ -26,11 +27,12 @@ const PANIC_TOKENS: [&str; 6] =
     [".unwrap()", ".expect(", "panic!", "unreachable!", "todo!", "unimplemented!"];
 
 /// The files where indexing itself is also banned: the untrusted-byte
-/// parsers — LIBSVM text (datagen), checkpoint bytes and wire lines
-/// (serve) — plus the overload decision paths in `admission.rs`, which
-/// run exactly when the system is already degraded and must not add a
-/// panic to an overload.
-const PARSER_FILES: [&str; 4] = ["libsvm.rs", "checkpoint.rs", "wire.rs", "admission.rs"];
+/// parsers — LIBSVM text (datagen), checkpoint bytes, wire lines and the
+/// line server that reads them (`framing.rs`) — plus the overload
+/// decision paths in `admission.rs`, which run exactly when the system
+/// is already degraded and must not add a panic to an overload.
+const PARSER_FILES: [&str; 5] =
+    ["libsvm.rs", "checkpoint.rs", "wire.rs", "framing.rs", "admission.rs"];
 
 pub struct PanicFreedom;
 

@@ -12,12 +12,14 @@
 //! its measured fork-join baseline), and everything else routes work
 //! through `sgd_linalg::pool::{run, with_threads}`.
 //!
-//! One carve-out: the serving crate and the dist crate's wire module may
-//! use `thread::scope` (and only `thread::scope`) for connection
-//! handling — scoped joins keep every connection thread's panic attached
-//! to its caller, while detached `thread::spawn` would let a request
-//! thread outlive the registry (or parameter server) it borrows from.
-//! Compute inside those threads still routes through the pool.
+//! One carve-out: the line server (`sgd-serve`'s `framing.rs`, which
+//! handles the connections of both wire protocols) and the dist crate's
+//! wire module (whose loopback runner drives one thread per worker) may
+//! use `thread::scope` (and only `thread::scope`) — scoped joins keep
+//! every connection thread's panic attached to its caller, while
+//! detached `thread::spawn` would let a request thread outlive the
+//! registry (or parameter server) it borrows from. Compute inside those
+//! threads still routes through the pool.
 
 use super::{basename_in, finding, Finding, Pass};
 use crate::source::SourceFile;
@@ -25,9 +27,10 @@ use crate::source::SourceFile;
 /// The modules that own thread creation.
 const ALLOWED_MODULES: [&str; 1] = ["pool.rs"];
 
-/// The modules allowed to use scoped (joined) threads for connection
-/// handling: the serving crate and the dist wire transport.
-const SCOPE_ALLOWED_PREFIXES: [&str; 2] = ["crates/serve/src/", "crates/dist/src/wire.rs"];
+/// The modules allowed to use scoped (joined) threads: the line server
+/// and the dist wire transport.
+const SCOPE_ALLOWED_PREFIXES: [&str; 2] =
+    ["crates/serve/src/framing.rs", "crates/dist/src/wire.rs"];
 
 pub struct ThreadDiscipline;
 
@@ -37,7 +40,7 @@ impl Pass for ThreadDiscipline {
     }
 
     fn description(&self) -> &'static str {
-        "all thread creation confined to pool.rs (serve and dist wire may use thread::scope)"
+        "all thread creation confined to pool.rs (the line server and dist wire may use thread::scope)"
     }
 
     fn in_scope(&self, rel_path: &str) -> bool {
@@ -59,7 +62,7 @@ impl Pass for ThreadDiscipline {
                         "`{tok}` outside pool.rs: ad-hoc threads bypass the persistent pool's \
                          width-inheritance and panic contract; route work through \
                          sgd_linalg::pool (run/with_threads), or scoped threads in \
-                         crates/serve or the dist wire module for connection handling"
+                         the line server (serve framing.rs) or the dist wire module"
                     ),
                 ));
             }

@@ -157,7 +157,11 @@ fn serve_crate_is_in_panic_freedom_scope() {
 #[test]
 fn serve_parsers_ban_indexing_like_libsvm() {
     let bad = "fn word(fields: &[&str], i: usize) -> String {\n    fields[i].to_string()\n}\n";
-    for path in ["crates/serve/src/checkpoint.rs", "crates/serve/src/wire.rs"] {
+    for path in [
+        "crates/serve/src/checkpoint.rs",
+        "crates/serve/src/wire.rs",
+        "crates/serve/src/framing.rs",
+    ] {
         let hits = findings_for(path, bad, "panic-freedom");
         assert_eq!(hits.len(), 1, "{path}: {hits:#?}");
         assert!(hits.iter().any(|f| f.message.contains("indexing")), "{path}: {hits:#?}");
@@ -223,15 +227,15 @@ fn thread_spawn_is_fine_inside_pool() {
 
 #[test]
 fn serve_may_scope_but_not_spawn() {
-    // The serve carve-out: scoped (joined) threads are fine for
-    // connection handling, detached spawn and Builder are still banned.
-    let hits = findings_for(
-        "crates/serve/src/wire.rs",
-        include_str!("fixtures/threads_bad.rs"),
-        "thread-discipline",
-    );
+    // The serve carve-out: scoped (joined) threads are fine in the line
+    // server that handles connections, detached spawn and Builder are
+    // still banned, and the rest of the crate gets no carve-out.
+    let bad = include_str!("fixtures/threads_bad.rs");
+    let hits = findings_for("crates/serve/src/framing.rs", bad, "thread-discipline");
     assert_eq!(hits.len(), 2, "spawn and Builder only; scope allowed: {hits:#?}");
     assert!(hits.iter().all(|f| !f.message.contains("thread::scope")), "{hits:#?}");
+    let hits = findings_for("crates/serve/src/wire.rs", bad, "thread-discipline");
+    assert_eq!(hits.len(), 3, "{hits:#?}");
 }
 
 #[test]

@@ -62,9 +62,9 @@ mod supervisor;
 mod sync;
 
 pub use backend::{
-    apply_dilation, BackendFault, BackendSession, ComputeBackend, CostModel, Dispatch,
-    DispatchFaults, ExecTask, GpuDispatch, Workload, CPU_FLOPS_PER_CORE, CPU_PAR_DISPATCH_SECS,
-    CPU_PAR_EFFICIENCY, CPU_SEQ_DISPATCH_SECS, CPU_SIMD_FLOPS_PER_CORE, CPU_SIMD_GEMV_SPEEDUP,
+    BackendSession, ComputeBackend, CostModel, Dispatch, ExecTask, GpuDispatch, Workload,
+    CPU_FLOPS_PER_CORE, CPU_PAR_DISPATCH_SECS, CPU_PAR_EFFICIENCY, CPU_SEQ_DISPATCH_SECS,
+    CPU_SIMD_FLOPS_PER_CORE, CPU_SIMD_GEMV_SPEEDUP,
 };
 pub use config::{DeviceKind, RunOptions};
 pub use convergence::{reference_optimum, ConvergenceSummary, LossTrace, THRESHOLDS};

@@ -30,7 +30,7 @@
 //! one drives the deterministic modeled-time cluster
 //! ([`run_dist_modeled`], bit-pinned per seed — the distributed
 //! counterpart of `sgd-core`'s modeled runners), and a loopback-TCP one
-//! reuses `sgd-serve`'s bounded line framing for a real multi-connection
+//! is a handler on `sgd-serve`'s line server for a real multi-connection
 //! run ([`wire::DistWireServer`]).
 
 pub mod modeled;

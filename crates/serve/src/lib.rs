@@ -26,10 +26,12 @@
 //! - [`loadgen`]: deterministic open- and closed-loop load generation
 //!   with p50/p95/p99/p999 + throughput/goodput accounting, feeding the
 //!   `serve` and `soak` benches.
+//! - [`framing`]: [`framing::LineServer`], the one accept loop, bounded
+//!   line reader and reply writer behind both wire protocols, with read
+//!   timeouts and a prebuilt line-too-long reply.
 //! - [`wire`]: an optional `std::net` loopback TCP front-end speaking
-//!   LIBSVM-formatted lines through `sgd-datagen`'s typed parser, with
-//!   bounded line buffers, read timeouts, an in-flight bound answering
-//!   `ERR BUSY retry_after=`, and typed backend-fault surfacing.
+//!   LIBSVM-formatted lines through `sgd-datagen`'s typed parser, with an
+//!   in-flight bound answering `ERR BUSY retry_after=`.
 
 #![warn(missing_docs)]
 

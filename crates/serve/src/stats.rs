@@ -42,13 +42,8 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarizes `latencies` (seconds per completed request, any order)
-    /// over a run that spanned `makespan` seconds, with no shed traffic.
-    pub fn from_latencies(latencies: &[f64], makespan: f64) -> Self {
-        Self::from_latencies_with_shed(latencies, makespan, 0)
-    }
-
-    /// Summarizes `latencies` over a run that also shed or rejected
-    /// `shed` requests. Order-invariant and bit-deterministic: the
+    /// over a run that spanned `makespan` seconds and also shed or
+    /// rejected `shed` requests. Order-invariant and bit-deterministic: the
     /// sample is sorted by `total_cmp` before any percentile is read.
     pub fn from_latencies_with_shed(latencies: &[f64], makespan: f64, shed: usize) -> Self {
         let n = latencies.len();
@@ -120,7 +115,7 @@ mod tests {
 
     #[test]
     fn empty_sample_is_all_zero() {
-        let s = LatencySummary::from_latencies(&[], 1.0);
+        let s = LatencySummary::from_latencies_with_shed(&[], 1.0, 0);
         assert_eq!(s.n, 0);
         assert_eq!(s.throughput, 0.0);
         assert_eq!(s.goodput, 0.0);
@@ -131,7 +126,7 @@ mod tests {
     fn nearest_rank_on_a_known_sample() {
         // 1..=100 milliseconds: p50 = 50 ms, p95 = 95 ms, p99 = 99 ms.
         let lat: Vec<f64> = (1..=100).map(|i| i as f64 * 1e-3).collect();
-        let s = LatencySummary::from_latencies(&lat, 2.0);
+        let s = LatencySummary::from_latencies_with_shed(&lat, 2.0, 0);
         assert_eq!(s.n, 100);
         assert_eq!(s.admitted, 100);
         assert!((s.p50 - 0.050).abs() < 1e-12);
@@ -149,14 +144,14 @@ mod tests {
         // sorted value, strictly below the max.
         let mut lat: Vec<f64> = (0..1999).map(|i| 1e-3 + i as f64 * 1e-7).collect();
         lat.push(10.0);
-        let s = LatencySummary::from_latencies(&lat, 1.0);
+        let s = LatencySummary::from_latencies_with_shed(&lat, 1.0, 0);
         assert!(s.p999 < s.max, "p999 {} must exclude the outlier {}", s.p999, s.max);
         assert!(s.p99 <= s.p999);
     }
 
     #[test]
     fn single_sample_percentiles_collapse() {
-        let s = LatencySummary::from_latencies(&[0.25], 0.5);
+        let s = LatencySummary::from_latencies_with_shed(&[0.25], 0.5, 0);
         assert_eq!(s.p50, 0.25);
         assert_eq!(s.p99, 0.25);
         assert_eq!(s.p999, 0.25);
@@ -166,8 +161,8 @@ mod tests {
 
     #[test]
     fn summary_is_order_invariant() {
-        let a = LatencySummary::from_latencies(&[0.3, 0.1, 0.2], 1.0);
-        let b = LatencySummary::from_latencies(&[0.1, 0.2, 0.3], 1.0);
+        let a = LatencySummary::from_latencies_with_shed(&[0.3, 0.1, 0.2], 1.0, 0);
+        let b = LatencySummary::from_latencies_with_shed(&[0.1, 0.2, 0.3], 1.0, 0);
         assert_eq!(a, b);
     }
 
