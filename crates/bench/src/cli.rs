@@ -1,9 +1,8 @@
 //! Shared experiment configuration and a dependency-free CLI parser.
 
-pub use sgd_core::TimingMode;
-use sgd_core::{Configuration, DeviceKind, Strategy, Timing};
+use sgd_core::{Configuration, DeviceKind, Strategy, Timing, TimingMode};
 
-/// Configuration shared by every reproduction binary.
+/// Configuration shared by every paper experiment and most sweeps.
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
     /// Fraction of each dataset's published example count to generate.
@@ -109,9 +108,7 @@ impl ExperimentConfig {
             .with_gpu_async(self.gpu_async_opts())
     }
 
-    /// Parses `--key value` style arguments:
-    /// `--scale f --threads n --max-epochs n --max-secs f --full-grid
-    /// --datasets a,b --seed n`.
+    /// Parses `--key value` style arguments; [`USAGE`] lists every flag.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut cfg = ExperimentConfig::default();
         let mut it = args.into_iter();
@@ -142,7 +139,8 @@ impl ExperimentConfig {
                 other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
             }
         }
-        if cfg.scale <= 0.0 || cfg.scale > 1.0 {
+        // Written so that NaN fails it too.
+        if !(cfg.scale > 0.0 && cfg.scale <= 1.0) {
             return Err("--scale must be in (0, 1]".into());
         }
         let known: Vec<&str> = sgd_datagen::all_profiles().iter().map(|p| p.name).collect();
@@ -175,9 +173,10 @@ impl ExperimentConfig {
     }
 }
 
-const USAGE: &str = "usage: <experiment> [--scale f] [--threads n] [--max-epochs n] \
+/// The flags [`ExperimentConfig::from_args`] accepts; `--help` prints it.
+pub const USAGE: &str = "usage: <experiment> [--scale f] [--threads n] [--max-epochs n] \
 [--max-secs f] [--optimum-epochs n] [--full-grid] [--datasets a,b,c] [--seed n] \
-[--timing model|wall] [--model-threads n]";
+[--timing model|wall] [--model-threads n] [--mlp-epoch-boost n]";
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String>
 where
@@ -186,42 +185,13 @@ where
     s.parse().map_err(|e| format!("cannot parse '{s}': {e}"))
 }
 
-/// Entry-point helper for the reproduction binaries: parses CLI args and
-/// exits with the usage string on error.
-pub fn config_from_env() -> ExperimentConfig {
-    match ExperimentConfig::from_args(std::env::args().skip(1)) {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The one `main` of the sweep binaries (`kernels`, `pool`, `ps`,
-/// `router`, `serve`, `soak`): `--check` runs the CI smoke and prints
-/// `<name> --check: <its success line>`, anything else runs the sweep,
-/// prints its table and writes its JSON to `--out PATH` (default
-/// `default_out`). Every other argument goes to `parse`. Exits 2 on a bad
-/// flag and 1 on a failed check or write.
-pub fn sweep_main<C>(
-    name: &str,
-    default_out: &str,
-    parse: impl FnOnce(Vec<String>) -> Result<C, String>,
-    check: impl FnOnce(C) -> Result<String, String>,
-    sweep: impl FnOnce(C) -> (String, String),
-) {
-    if let Err((code, msg)) =
-        run_sweep(std::env::args().skip(1), name, default_out, parse, check, sweep)
-    {
-        eprintln!("{msg}");
-        std::process::exit(code);
-    }
-}
-
-/// [`sweep_main`] minus the process exit: `Err` carries the exit code and
-/// the stderr line.
-fn run_sweep<C>(
+/// The shared body of the sweeps (`kernels`, `pool`, `ps`, `router`,
+/// `serve`, `soak`): `--check` runs the CI smoke and prints `<name>
+/// --check: <its success line>`, anything else runs the sweep, prints its
+/// table and writes its JSON to `--out PATH` (default `default_out`).
+/// Every other argument goes to `parse`. `Err` carries the exit code (2
+/// on a bad flag, 1 on a failed check or write) and the stderr line.
+pub fn run_sweep<C>(
     args: impl IntoIterator<Item = String>,
     name: &str,
     default_out: &str,
@@ -283,6 +253,25 @@ mod tests {
         assert!(cfg.wants("news"));
         assert!(!cfg.wants("covtype"));
         assert_eq!(cfg.seed, 9);
+
+        // Every accepted flag is named in USAGE.
+        for line in [
+            "--scale 0.5",
+            "--threads 2",
+            "--max-epochs 3",
+            "--max-secs 1",
+            "--optimum-epochs 4",
+            "--full-grid",
+            "--datasets w8a",
+            "--seed 1",
+            "--timing wall",
+            "--model-threads 8",
+            "--mlp-epoch-boost 2",
+        ] {
+            assert!(ExperimentConfig::from_args(args(line)).is_ok(), "{line}");
+            let flag = line.split_whitespace().next().expect("non-empty");
+            assert!(USAGE.contains(&format!("[{flag}")), "USAGE lacks {flag}");
+        }
     }
 
     #[test]
@@ -356,6 +345,8 @@ mod tests {
     fn rejects_unknown_flag_and_bad_scale() {
         assert!(ExperimentConfig::from_args(args("--bogus 1")).is_err());
         assert!(ExperimentConfig::from_args(args("--scale 0")).is_err());
+        let err = ExperimentConfig::from_args(args("--scale NaN")).unwrap_err();
+        assert_eq!(err, "--scale must be in (0, 1]");
         assert!(ExperimentConfig::from_args(args("--scale x")).is_err());
         assert!(ExperimentConfig::from_args(args("--threads")).is_err());
         let err = ExperimentConfig::from_args(args("--datasets w8a,nosuch")).unwrap_err();

@@ -1,5 +1,6 @@
-//! Reproduction harness: one module (and one binary) per table/figure of
-//! the paper, plus shared CLI/dataset-preparation plumbing.
+//! Reproduction harness: one module per table/figure of the paper and per
+//! sweep, plus shared CLI/dataset-preparation plumbing. The `sgd-bench`
+//! binary (`src/main.rs`) runs any of them by name.
 //!
 //! Every experiment accepts an [`ExperimentConfig`] whose `scale` shrinks
 //! the published dataset sizes so the full study runs on a laptop. GPU
@@ -27,4 +28,4 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
-pub use cli::{ExperimentConfig, TimingMode};
+pub use cli::ExperimentConfig;

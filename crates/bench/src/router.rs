@@ -14,7 +14,7 @@
 //! somewhere. `check` pins exactly that, plus bit-determinism, and runs
 //! in CI as part of `serve --check`.
 
-use sgd_serve::{offered_requests, BatchPolicy, OfferedRequest, ServeBackend, ServeTiming, Server};
+use sgd_serve::{offered_requests, BatchPolicy, OfferedRequest, ServeBackend, Server};
 
 use crate::cli::ExperimentConfig;
 use crate::prep::prepare_all;
@@ -63,8 +63,8 @@ impl Contender {
     /// A fresh server for this contender.
     pub fn server(&self) -> Server {
         match self {
-            Contender::Fixed(b) => Server::new(*b, ServeTiming::Modeled),
-            Contender::Routed => Server::routed(candidates().to_vec(), ServeTiming::Modeled),
+            Contender::Fixed(b) => Server::new(*b),
+            Contender::Routed => Server::routed(candidates().to_vec()),
         }
     }
 }

@@ -15,7 +15,7 @@ use sgd_core::{Configuration, DeviceKind, Engine, RunOptions, Strategy, Timing};
 use sgd_serve::{
     offered_requests, run_admitted, AdmissionPolicy, BatchPolicy, Checkpoint, CheckpointPublisher,
     ClosedClients, ComputeService, ModelRegistry, OfferedRequest, RequestPool, ServableModel,
-    ServeBackend, ServeOutcome, ServeTiming, Server, TaskDescriptor,
+    ServeBackend, ServeOutcome, Server, TaskDescriptor,
 };
 
 use crate::cli::ExperimentConfig;
@@ -101,7 +101,7 @@ pub fn request_pool(p: &Prepared) -> RequestPool {
 /// Unbatched single-request service time on a fresh server — the probe
 /// that anchors the offered load (shared with the router sweep).
 pub fn probe_service_secs(backend: ServeBackend, model: &ServableModel, pool: &RequestPool) -> f64 {
-    let mut srv = Server::new(backend, ServeTiming::Modeled);
+    let mut srv = Server::new(backend);
     let (_, secs) = srv.predict(model, &pool.assemble(&[0]).examples());
     secs.max(1e-9)
 }
@@ -142,7 +142,7 @@ pub fn rows(cfg: &ExperimentConfig) -> Vec<ServeRow> {
             let rate = 2.0 / probe;
             let offered = offered_requests(rate, REQUESTS, cfg.seed, 1);
             for batch in BATCH_SIZES {
-                let mut srv = Server::new(backend, ServeTiming::Modeled);
+                let mut srv = Server::new(backend);
                 let policy = BatchPolicy::new(batch, MAX_WAIT_SECS);
                 let o = serve_open(&mut srv, &model, &pool, &policy, &offered);
                 out.push(ServeRow {
@@ -283,8 +283,8 @@ pub fn check(cfg: &ExperimentConfig) -> Result<(), String> {
             (0..32).map(|row| OfferedRequest { arrival: 0.0, priority: 0, row }).collect();
         for backend in backends() {
             let pol = BatchPolicy::new(8, MAX_WAIT_SECS);
-            let mut s1 = Server::new(backend, ServeTiming::Modeled);
-            let mut s2 = Server::new(backend, ServeTiming::Modeled);
+            let mut s1 = Server::new(backend);
+            let mut s2 = Server::new(backend);
             let live = serve_open(&mut s1, &model, &pool, &pol, &offered);
             let cold = serve_open(&mut s2, &served, &pool, &pol, &offered);
             for (i, (x, y)) in live.decisions.iter().zip(&cold.decisions).enumerate() {

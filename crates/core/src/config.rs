@@ -89,11 +89,6 @@ impl RunOptions {
     pub fn gpu_device(&self) -> sgd_gpusim::GpuDevice {
         crate::backend::BackendSession::with_gpu_spec(self.gpu_spec.clone()).into_gpu_device()
     }
-
-    /// A backend session simulating this configuration's GPU.
-    pub fn backend_session(&self) -> crate::backend::BackendSession {
-        crate::backend::BackendSession::with_gpu_spec(self.gpu_spec.clone())
-    }
 }
 
 /// Default degree of parallelism: all logical CPUs.

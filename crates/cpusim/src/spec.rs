@@ -75,29 +75,6 @@ impl CpuSpec {
         }
     }
 
-    /// A small 4-core desktop preset for sensitivity studies.
-    pub fn quad_core() -> Self {
-        CpuSpec {
-            name: "4-core desktop",
-            sockets: 1,
-            cores_per_socket: 4,
-            smt: 2,
-            clock_ghz: 3.0,
-            flops_per_core_cycle: 16.0,
-            stream_bw_core_gbps: 15.0,
-            stream_bw_socket_gbps: 40.0,
-            random_line_ns: 7.0,
-            l1_bytes: 32 * 1024,
-            l2_bytes: 512 * 1024,
-            l3_bytes: 8 * 1024 * 1024,
-            cacheline: 64,
-            coherency_inval_ns: 6.0,
-            fork_join_secs: 5e-6,
-            smt_yield: 0.3,
-            cache_scale: 1.0,
-        }
-    }
-
     /// Returns a copy with fixed costs and data-tier cache capacities
     /// scaled by `f` (see [`CpuSpec::cache_scale`]); bandwidths and
     /// latencies are physical properties and do not scale.

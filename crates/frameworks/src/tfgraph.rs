@@ -109,11 +109,6 @@ impl Session {
         &self.params
     }
 
-    /// Mutable access to the parameters (optimizer updates).
-    pub fn params_mut(&mut self) -> &mut [Matrix] {
-        &mut self.params
-    }
-
     /// Forward pass: evaluates every node, materializing each output (the
     /// op-per-kernel execution profile). Returns all node values.
     /// `classes` are the target labels consumed by `SoftmaxXent`; that

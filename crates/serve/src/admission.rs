@@ -64,13 +64,6 @@ pub enum RequestOutcome {
     RejectedBackpressure,
 }
 
-impl RequestOutcome {
-    /// The request completed and has a latency sample.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, RequestOutcome::Completed { .. })
-    }
-}
-
 /// Tally of how a run's offered requests resolved — the conservation
 /// ledger (`offered == completed + shed_admission + shed_deadline +
 /// rejected`, always).
@@ -633,7 +626,7 @@ pub fn run_admitted<S: BatchService>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::{ServeBackend, ServeTiming};
+    use crate::batcher::ServeBackend;
     use crate::checkpoint::Checkpoint;
     use crate::model::TaskDescriptor;
     use sgd_linalg::Matrix;
@@ -680,7 +673,7 @@ mod tests {
         // 32 simultaneous arrivals, queue bound 4, slow service: most
         // must shed at admission, and the ledger must balance.
         let arrivals = vec![0.0; 32];
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let mut svc = ComputeService::new(&mut srv, &model, &pool);
         let admission = AdmissionPolicy::new(4, usize::MAX, f64::INFINITY, 1);
         let out = run_admitted(
@@ -708,7 +701,7 @@ mod tests {
         let model = lr_model(3);
         let pool = toy_pool();
         let arrivals = vec![0.0; 16];
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let mut svc = ComputeService::new(&mut srv, &model, &pool);
         let admission = AdmissionPolicy::new(usize::MAX, 3, f64::INFINITY, 1);
         let out = run_admitted(
@@ -735,7 +728,7 @@ mod tests {
         // in ~128µs; a 40µs deadline sheds roughly the back two thirds.
         let arrivals = vec![0.0; 64];
         let deadline = 4e-5;
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let mut svc = ComputeService::new(&mut srv, &model, &pool);
         let admission = AdmissionPolicy::new(usize::MAX, usize::MAX, deadline, 1);
         let out = run_admitted(
@@ -764,7 +757,7 @@ mod tests {
         // the queue is half of tier 0's, so tier 1 sheds more.
         let open: Vec<OfferedRequest> =
             (0..32).map(|i| OfferedRequest { arrival: 0.0, priority: i % 2, row: i }).collect();
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let mut svc = ComputeService::new(&mut srv, &model, &pool);
         let admission = AdmissionPolicy::new(8, usize::MAX, f64::INFINITY, 2);
         let out = run_admitted(
@@ -793,7 +786,7 @@ mod tests {
     fn closed_clients_resolve_every_issue_even_when_shed() {
         let model = lr_model(3);
         let pool = toy_pool();
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let mut svc = ComputeService::new(&mut srv, &model, &pool);
         // Tiny in-flight bound: many closed issues are rejected, but the
         // clients keep their cadence and every issue resolves.
@@ -821,7 +814,7 @@ mod tests {
         let closed = ClosedClients { clients: 3, per_client: 8, think: 1e-5, priority: 1 };
         let admission = AdmissionPolicy::new(12, 24, 5e-4, 3);
         let run = || {
-            let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+            let mut srv = Server::new(ServeBackend::CpuSeq);
             let mut svc = ComputeService::new(&mut srv, &model, &pool);
             run_admitted(&mut svc, &BatchPolicy::new(4, 1e-4), &admission, &open, &closed)
         };
@@ -841,7 +834,7 @@ mod tests {
         let pool = toy_pool();
         let arrivals: Vec<f64> = (0..32).map(|i| i as f64 * 1e-5).collect();
         let policy = BatchPolicy::new(4, 1e-4);
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let mut real = ComputeService::new(&mut srv, &model, &pool);
         let a = run_admitted(
             &mut real,

@@ -16,11 +16,10 @@
 //! pending or the oldest pending request has waited `W`, whichever comes
 //! first, and never before the server is free again.
 //!
-//! Service time comes from a [`ServeTiming`]: `Modeled` charges the
-//! shared [`CostModel`] estimate (bit-exact across runs; the
-//! serving-side analog of `Timing::Modeled` in the engine), `Wall`
-//! measures the real computation with `Instant`. The simulated GPU
-//! always uses its simulated clock — and because the server's
+//! Service time on the CPU backends is the shared [`CostModel`]
+//! estimate (bit-exact across runs; the serving-side analog of
+//! `Timing::Modeled` in the engine). The simulated GPU always uses its
+//! simulated clock — and because the server's
 //! [`sgd_core::BackendSession`] holds one persistent device whose batch
 //! buffers are bound to stable logical names, consecutive GPU batches
 //! trace a *warm* L2 (the PR-5 cold-device bug) while staying
@@ -65,16 +64,6 @@ impl BatchPolicy {
     }
 }
 
-/// Where service time comes from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeTiming {
-    /// Analytic cost model — bit-deterministic across runs.
-    Modeled,
-    /// Real `Instant` measurements around the computation (CPU backends
-    /// only; the simulated GPU always uses its simulated clock).
-    Wall,
-}
-
 /// How the server picks a backend for each batch.
 enum Route {
     /// Every batch goes to one fixed backend.
@@ -97,11 +86,10 @@ impl ExecTask for PredictJob<'_> {
     }
 }
 
-/// A serving endpoint: a backend route, a service clock, and the
+/// A serving endpoint: a backend route, a modeled service clock, and the
 /// session state (persistent simulated GPU) dispatches accumulate in.
 pub struct Server {
     route: Route,
-    timing: ServeTiming,
     session: BackendSession,
     cost: CostModel,
     last_backend: ComputeBackend,
@@ -109,11 +97,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server on the fixed `backend` with the given service clock.
-    pub fn new(backend: ServeBackend, timing: ServeTiming) -> Self {
+    /// A server on the fixed `backend`.
+    pub fn new(backend: ServeBackend) -> Self {
         Server {
             route: Route::Fixed(backend),
-            timing,
             session: BackendSession::new(),
             // At the ambient (default, Scalar) tier this is bit-identical
             // to `CostModel::default()`; under a SIMD tier scope the
@@ -127,11 +114,10 @@ impl Server {
     /// A router server: each batch goes to whichever of `candidates` the
     /// shared cost model predicts fastest (empty candidate lists fall
     /// back to the sequential CPU).
-    pub fn routed(candidates: Vec<ServeBackend>, timing: ServeTiming) -> Self {
+    pub fn routed(candidates: Vec<ServeBackend>) -> Self {
         let first = candidates.first().copied().unwrap_or(ComputeBackend::CpuSeq);
         Server {
             route: Route::Routed(candidates),
-            timing,
             session: BackendSession::new(),
             cost: CostModel::for_tier(pool::current_tier()),
             last_backend: first,
@@ -196,14 +182,12 @@ impl Server {
         backend: ComputeBackend,
         model: &ServableModel,
         x: &Examples<'_>,
-        wall_secs: f64,
         gpu: Option<GpuDispatch>,
     ) -> f64 {
-        match (backend, self.timing) {
+        match backend {
             // The simulated GPU always answers with its own clock.
-            (ComputeBackend::GpuSim, _) => gpu.map(|g| g.sim_secs).unwrap_or(0.0),
-            (_, ServeTiming::Wall) => wall_secs,
-            (b, ServeTiming::Modeled) => self.cost.estimate_secs(&b, &predict_workload(model, x)),
+            ComputeBackend::GpuSim => gpu.map(|g| g.sim_secs).unwrap_or(0.0),
+            b => self.cost.estimate_secs(&b, &predict_workload(model, x)),
         }
     }
 
@@ -218,7 +202,7 @@ impl Server {
         let mut job = PredictJob { model, x };
         let d = backend.dispatch(&mut self.session, &mut job);
         self.last_gpu = d.gpu.or(self.last_gpu);
-        let secs = self.service_secs(backend, model, x, d.wall_secs, d.gpu);
+        let secs = self.service_secs(backend, model, x, d.gpu);
         (d.out, secs)
     }
 }
@@ -346,7 +330,7 @@ mod tests {
 
     #[test]
     fn unbatched_policy_serves_one_request_per_batch() {
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let model = lr_model(3);
         let arrivals: Vec<f64> = (0..6).map(|i| i as f64 * 1e-3).collect();
         let out = open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::unbatched(), &arrivals);
@@ -360,7 +344,7 @@ mod tests {
 
     #[test]
     fn saturating_arrivals_coalesce_into_full_batches() {
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let model = lr_model(3);
         // All 8 requests arrive at t=0: the first dispatches alone or the
         // batch fills instantly, depending on policy.
@@ -372,7 +356,7 @@ mod tests {
 
     #[test]
     fn max_wait_flushes_partial_batches() {
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let model = lr_model(3);
         // One early request, one far later: W must flush the first alone.
         let arrivals = vec![0.0, 1.0];
@@ -386,7 +370,7 @@ mod tests {
 
     #[test]
     fn decisions_match_direct_computation_in_arrival_order() {
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let model = lr_model(3);
         let pool = toy_pool();
         let arrivals = vec![0.0; 5];
@@ -394,7 +378,7 @@ mod tests {
         // Request i uses pool row i % 3; compare to a direct single-row
         // predict on the same backend.
         for i in 0..5 {
-            let (direct, _) = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled)
+            let (direct, _) = Server::new(ServeBackend::CpuSeq)
                 .predict(&model, &pool.assemble(&[i % 3]).examples());
             assert_eq!(
                 out.decisions.get(i).copied().map(f64::to_bits),
@@ -409,7 +393,7 @@ mod tests {
         let model = lr_model(3);
         let arrivals: Vec<f64> = (0..40).map(|i| i as f64 * 1e-6).collect();
         let run = || {
-            let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+            let mut srv = Server::new(ServeBackend::CpuSeq);
             open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(8, 1e-4), &arrivals)
         };
         let (a, b) = (run(), run());
@@ -427,7 +411,7 @@ mod tests {
         let model = lr_model(3);
         let arrivals = vec![0.0; 32];
         let serve = |policy: BatchPolicy| {
-            let mut srv = Server::new(ServeBackend::GpuSim, ServeTiming::Modeled);
+            let mut srv = Server::new(ServeBackend::GpuSim);
             open_loop(&mut srv, &model, &toy_pool(), &policy, &arrivals)
         };
         let unbatched = serve(BatchPolicy::unbatched());
@@ -449,7 +433,7 @@ mod tests {
 
     #[test]
     fn closed_loop_completes_every_request() {
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let model = lr_model(3);
         let out = run_admitted(
             &mut ComputeService::new(&mut srv, &model, &toy_pool()),
@@ -470,7 +454,7 @@ mod tests {
     fn closed_loop_is_deterministic() {
         let model = lr_model(3);
         let run = || {
-            let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+            let mut srv = Server::new(ServeBackend::CpuSeq);
             run_admitted(
                 &mut ComputeService::new(&mut srv, &model, &toy_pool()),
                 &BatchPolicy::new(2, 1e-5),
@@ -491,15 +475,10 @@ mod tests {
         let model = lr_model(3);
         let arrivals = vec![0.0; 9];
         let pol = BatchPolicy::new(3, 1e-4);
-        let seq = open_loop(
-            &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
-            &model,
-            &toy_pool(),
-            &pol,
-            &arrivals,
-        );
+        let seq =
+            open_loop(&mut Server::new(ServeBackend::CpuSeq), &model, &toy_pool(), &pol, &arrivals);
         let par = open_loop(
-            &mut Server::new(ServeBackend::CpuPar { threads: 4 }, ServeTiming::Modeled),
+            &mut Server::new(ServeBackend::CpuPar { threads: 4 }),
             &model,
             &toy_pool(),
             &pol,
@@ -515,7 +494,7 @@ mod tests {
         // The old local constants moved into sgd_core::CostModel; the
         // modeled service time must equal its estimate exactly.
         let model = lr_model(3);
-        let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+        let mut srv = Server::new(ServeBackend::CpuSeq);
         let pool = toy_pool();
         let batch = pool.assemble(&[0, 1]);
         let x = batch.examples();
@@ -530,7 +509,7 @@ mod tests {
         let model = lr_model(64);
         let wide = Matrix::from_fn(256, 64, |i, j| ((i + j) % 7) as f64 - 3.0);
         let pool = RequestPool::dense(wide);
-        let mut srv = Server::routed(ComputeBackend::fixed_set(4).to_vec(), ServeTiming::Modeled);
+        let mut srv = Server::routed(ComputeBackend::fixed_set(4).to_vec());
         let one = pool.assemble(&[0]);
         assert_eq!(srv.route(&model, &one.examples()), ComputeBackend::CpuSeq);
         let big = pool.assemble(&(0..256).collect::<Vec<_>>());
@@ -546,8 +525,7 @@ mod tests {
         let arrivals: Vec<f64> = (0..24).map(|i| i as f64 * 3e-6).collect();
         let pol = BatchPolicy::new(8, 1e-4);
         let run = || {
-            let mut srv =
-                Server::routed(ComputeBackend::fixed_set(4).to_vec(), ServeTiming::Modeled);
+            let mut srv = Server::routed(ComputeBackend::fixed_set(4).to_vec());
             open_loop(&mut srv, &model, &toy_pool(), &pol, &arrivals)
         };
         let (a, b) = (run(), run());
@@ -555,13 +533,8 @@ mod tests {
         for (x, y) in a.latencies.iter().zip(&b.latencies) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        let fixed = open_loop(
-            &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
-            &model,
-            &toy_pool(),
-            &pol,
-            &arrivals,
-        );
+        let fixed =
+            open_loop(&mut Server::new(ServeBackend::CpuSeq), &model, &toy_pool(), &pol, &arrivals);
         for (r, f) in a.decisions.iter().zip(&fixed.decisions) {
             assert_eq!(r.to_bits(), f.to_bits(), "routing never changes the math");
         }

@@ -49,7 +49,7 @@ pub use admission::{
     run_admitted, AdmissionPolicy, BatchService, ClosedClients, ComputeService, ModeledService,
     OfferedRequest, OutcomeCounts, RequestOutcome,
 };
-pub use batcher::{predict_workload, BatchPolicy, ServeBackend, ServeOutcome, ServeTiming, Server};
+pub use batcher::{predict_workload, BatchPolicy, ServeBackend, ServeOutcome, Server};
 pub use checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION, MAGIC};
 pub use loadgen::{offered_requests, AssembledBatch, RequestPool};
 pub use model::{ServableModel, TaskDescriptor};

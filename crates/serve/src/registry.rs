@@ -272,7 +272,7 @@ mod tests {
         use crate::admission::{
             run_admitted, AdmissionPolicy, ClosedClients, ComputeService, OfferedRequest,
         };
-        use crate::batcher::{BatchPolicy, ServeBackend, ServeTiming, Server};
+        use crate::batcher::{BatchPolicy, ServeBackend, Server};
         use crate::loadgen::RequestPool;
         use sgd_linalg::Matrix;
 
@@ -292,7 +292,7 @@ mod tests {
             // resolved snapshot, shedding most of it. Neither side
             // blocks the other: the reader owns an immutable Arc.
             let pool = RequestPool::dense(Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]));
-            let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+            let mut srv = Server::new(ServeBackend::CpuSeq);
             let mut svc = ComputeService::new(&mut srv, &snap.model, &pool);
             let open: Vec<OfferedRequest> =
                 (0..64).map(|i| OfferedRequest { arrival: 0.0, priority: 0, row: i }).collect();

@@ -25,7 +25,7 @@ use sgd_study::linalg::{CpuExec, CsrMatrix, Exec, Matrix};
 use sgd_study::models::Examples;
 use sgd_study::serve::{
     run_admitted, AdmissionPolicy, BatchPolicy, Checkpoint, ClosedClients, ComputeService,
-    OfferedRequest, RequestPool, ServableModel, ServeTiming, Server, TaskDescriptor,
+    OfferedRequest, RequestPool, ServableModel, Server, TaskDescriptor,
 };
 
 /// Deterministic non-trivial weights for a descriptor's model dim.
@@ -150,7 +150,7 @@ fn serving_decisions_are_bitwise_across_backends_and_runs() {
     let mut reference: Option<Vec<f64>> = None;
     for backend in ComputeBackend::fixed_set(4) {
         let run = |_: ()| {
-            let mut srv = Server::new(backend, ServeTiming::Modeled);
+            let mut srv = Server::new(backend);
             run_admitted(
                 &mut ComputeService::new(&mut srv, &model, &pool),
                 &policy,
@@ -182,7 +182,7 @@ fn gpu_serving_trace_is_warm_and_bit_deterministic() {
     let x = Examples::Sparse(&sparse);
 
     let serve_two_batches = |_: ()| {
-        let mut srv = Server::new(ComputeBackend::GpuSim, ServeTiming::Modeled);
+        let mut srv = Server::new(ComputeBackend::GpuSim);
         let (_, secs1) = srv.predict(&model, &x);
         let first = *srv.last_gpu_dispatch().expect("gpu dispatch recorded");
         let (_, secs2) = srv.predict(&model, &x);
@@ -236,7 +236,7 @@ fn router_decisions_replay_exactly() {
     let policy = BatchPolicy::new(256, 1e-4);
 
     let run = |_: ()| {
-        let mut srv = Server::routed(ComputeBackend::fixed_set(4).to_vec(), ServeTiming::Modeled);
+        let mut srv = Server::routed(ComputeBackend::fixed_set(4).to_vec());
         run_admitted(
             &mut ComputeService::new(&mut srv, &model, &pool),
             &policy,

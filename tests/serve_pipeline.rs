@@ -10,7 +10,7 @@ use sgd_study::models::{lr, Batch, Examples};
 use sgd_study::serve::{
     run_admitted, AdmissionPolicy, BatchPolicy, Checkpoint, CheckpointError, CheckpointPublisher,
     ClosedClients, ComputeService, ModelRegistry, OfferedRequest, RequestPool, ServableModel,
-    ServeBackend, ServeTiming, Server, TaskDescriptor,
+    ServeBackend, Server, TaskDescriptor,
 };
 
 fn small_dataset() -> Dataset {
@@ -61,7 +61,7 @@ fn trained_checkpointed_reloaded_model_serves_identical_predictions() {
         (0..48).map(|row| OfferedRequest { arrival: 0.0, priority: 0, row }).collect();
     let policy = BatchPolicy::new(8, 1e-3);
     let serve = |model: &ServableModel, backend: ServeBackend| {
-        let mut srv = Server::new(backend, ServeTiming::Modeled);
+        let mut srv = Server::new(backend);
         run_admitted(
             &mut ComputeService::new(&mut srv, model, &pool),
             &policy,
