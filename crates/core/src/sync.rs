@@ -47,23 +47,33 @@ fn label<T: Task>(task: &T, device: DeviceKind) -> String {
     format!("{} sync {}", task.name(), device.label())
 }
 
-/// Full-batch loss evaluation as a backend job.
+/// Full-batch loss evaluation as a backend job: the loss is read off the
+/// forward pass in `fwd`, which `forward_of` first computes when it is
+/// given (the initial model, before any epoch job has left its pass
+/// there).
 struct LossJob<'a, T: Task> {
     task: &'a T,
     batch: &'a Batch<'a>,
-    w: &'a [f64],
+    forward_of: Option<&'a [f64]>,
+    fwd: &'a mut T::Forward,
 }
 
 impl<T: Task> ExecTask for LossJob<'_, T> {
     type Out = f64;
     fn run<E: Exec>(&mut self, e: &mut E) -> f64 {
-        self.task.loss(e, self.batch, self.w)
+        if let Some(w) = self.forward_of {
+            self.task.forward(e, self.batch, w, self.fwd);
+        }
+        self.task.loss_from(e, self.batch, self.fwd)
     }
 }
 
-/// One synchronous epoch (gradient + fault-adjusted update) as a backend
-/// job; the kernel stream is identical on every backend, which is what
-/// makes the loss trajectory device-independent.
+/// One synchronous epoch as a backend job: the gradient read off the
+/// forward pass the previous job left in `fwd`, the fault-adjusted
+/// update, and the forward pass of the updated model, which both the
+/// epoch's loss and the next epoch's gradient read. The kernel stream is
+/// identical on every backend, which is what makes the loss trajectory
+/// device-independent.
 struct SyncEpochJob<'a, T: Task> {
     task: &'a T,
     batch: &'a Batch<'a>,
@@ -73,13 +83,14 @@ struct SyncEpochJob<'a, T: Task> {
     w: &'a mut Vec<f64>,
     g: &'a mut Vec<f64>,
     prev_g: &'a mut Vec<f64>,
+    fwd: &'a mut T::Forward,
     fc: &'a mut FaultCounters,
 }
 
 impl<T: Task> ExecTask for SyncEpochJob<'_, T> {
     type Out = ();
     fn run<E: Exec>(&mut self, e: &mut E) {
-        self.task.gradient(e, self.batch, self.w, self.g);
+        self.task.gradient_from(e, self.batch, self.w, self.fwd, self.g);
         let d = match self.faults {
             Some(plan) => sync_epoch_faults(plan, self.epoch, self.fc),
             None => SyncFaultDecision::none(),
@@ -91,6 +102,7 @@ impl<T: Task> ExecTask for SyncEpochJob<'_, T> {
         if !d.stale {
             std::mem::swap(self.g, self.prev_g);
         }
+        self.task.forward(e, self.batch, self.w, self.fwd);
     }
 }
 
@@ -108,8 +120,11 @@ fn cpu_run<T: Task>(
     let mut g = vec![0.0; task.dim()];
     // Last applied gradient, kept for stale-gradient-replay faults.
     let mut prev_g = vec![0.0; task.dim()];
+    // The forward pass of the current model, reused across epochs.
+    let mut fwd = T::Forward::default();
     let mut trace = LossTrace::new();
-    let initial_loss = backend.dispatch(&mut sess, &mut LossJob { task, batch, w: &w }).out;
+    let mut initial = LossJob { task, batch, forward_of: Some(&w), fwd: &mut fwd };
+    let initial_loss = backend.dispatch(&mut sess, &mut initial).out;
     trace.push(0.0, initial_loss);
     let mut rec = Recorder::new(obs);
     let mut sup = Supervisor::new(opts, initial_loss);
@@ -135,6 +150,7 @@ fn cpu_run<T: Task>(
             w: &mut w,
             g: &mut g,
             prev_g: &mut prev_g,
+            fwd: &mut fwd,
             fc: &mut fc,
         };
         let mut epoch_secs = backend.dispatch(&mut sess, &mut job).wall_secs;
@@ -145,8 +161,10 @@ fn cpu_run<T: Task>(
             epoch_secs *= dil;
         }
         opt_seconds += epoch_secs;
-        // Loss evaluation is excluded from timing.
-        let loss = backend.dispatch(&mut sess, &mut LossJob { task, batch, w: &w }).out;
+        // Loss evaluation is excluded from timing; it reads the forward
+        // pass the epoch job ended with.
+        let mut read = LossJob { task, batch, forward_of: None, fwd: &mut fwd };
+        let loss = backend.dispatch(&mut sess, &mut read).out;
         trace.push(opt_seconds, loss);
         rec.record(EpochMetrics { faults: fc, ..EpochMetrics::new(epoch + 1, opt_seconds, loss) });
         if sup.observe(epoch + 1, opt_seconds, loss, &w, &trace, &mut rec) {

@@ -6,8 +6,8 @@ use crate::Scalar;
 ///
 /// Rows are contiguous, which matches the access pattern of example-at-a-time
 /// SGD (each training example is one row) and lets `row(i)` hand out a slice
-/// with no copying.
-#[derive(Clone, Debug, PartialEq)]
+/// with no copying. The default is the empty `0 x 0` matrix.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

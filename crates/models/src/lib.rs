@@ -17,5 +17,5 @@ mod task;
 pub use batch::{Batch, Examples};
 pub use gradcheck::check_gradient;
 pub use linear::{lr, svm, HingeLoss, LinearLoss, LinearTask, LogisticLoss, PointwiseLoss};
-pub use mlp::MlpTask;
+pub use mlp::{MlpForward, MlpTask};
 pub use task::Task;

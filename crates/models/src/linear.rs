@@ -123,9 +123,9 @@ impl<L: LinearLoss> LinearTask<L> {
     }
 
     /// Batched decision values `p = X w` (one margin per example), the
-    /// inference-side half of [`Task::gradient`]'s first pass. `sgd-serve`
-    /// dispatches this through whichever executor backs a request batch,
-    /// so serving exercises the same gemv/spmv corners as training.
+    /// whole of [`Task::forward`]. `sgd-serve` dispatches this through
+    /// whichever executor backs a request batch, so serving exercises the
+    /// same gemv/spmv corners as training.
     pub fn decision_values<E: Exec>(
         &self,
         e: &mut E,
@@ -172,40 +172,49 @@ impl<L: LinearLoss> Task for LinearTask<L> {
         vec![0.0; self.dim]
     }
 
-    fn loss<E: Exec>(&self, e: &mut E, batch: &Batch<'_>, w: &[Scalar]) -> Scalar {
-        assert_eq!(w.len(), self.dim, "model dimension mismatch");
+    /// The margins `p = X w`. [`forward`](Task::forward) reallocates
+    /// the buffer only when the batch size changes.
+    type Forward = Vec<Scalar>;
+
+    fn forward<E: Exec>(&self, e: &mut E, batch: &Batch<'_>, w: &[Scalar], p: &mut Vec<Scalar>) {
+        if p.len() != batch.n() {
+            *p = vec![0.0; batch.n()];
+        }
+        self.decision_values(e, &batch.x, w, p);
+    }
+
+    fn loss_from<E: Exec>(&self, e: &mut E, batch: &Batch<'_>, p: &Vec<Scalar>) -> Scalar {
         let n = batch.n();
+        assert_eq!(p.len(), n, "forward pass is of another batch");
         if n == 0 {
             return 0.0;
         }
-        let mut p = vec![0.0; n];
-        match batch.x {
-            Examples::Dense(m) => e.gemv(m, w, &mut p),
-            Examples::Sparse(m) => e.spmv(m, w, &mut p),
-        }
         let l = self.loss.clone();
         let mut per = vec![0.0; n];
-        e.zip(&p, batch.y, &mut per, 6.0, move |m, y| l.loss(m, y));
+        e.zip(p, batch.y, &mut per, 6.0, move |m, y| l.loss(m, y));
         e.sum(&per) / n as Scalar
     }
 
-    fn gradient<E: Exec>(&self, e: &mut E, batch: &Batch<'_>, w: &[Scalar], g: &mut [Scalar]) {
+    fn gradient_from<E: Exec>(
+        &self,
+        e: &mut E,
+        batch: &Batch<'_>,
+        w: &[Scalar],
+        p: &Vec<Scalar>,
+        g: &mut [Scalar],
+    ) {
         assert_eq!(w.len(), self.dim, "model dimension mismatch");
         assert_eq!(g.len(), self.dim, "gradient dimension mismatch");
         let n = batch.n();
+        assert_eq!(p.len(), n, "forward pass is of another batch");
         if n == 0 {
             g.fill(0.0);
             return;
         }
-        let mut p = vec![0.0; n];
-        match batch.x {
-            Examples::Dense(m) => e.gemv(m, w, &mut p),
-            Examples::Sparse(m) => e.spmv(m, w, &mut p),
-        }
         let l = self.loss.clone();
         let inv = 1.0 / n as Scalar;
         let mut r = vec![0.0; n];
-        e.zip(&p, batch.y, &mut r, 6.0, move |m, y| l.dloss(m, y) * inv);
+        e.zip(p, batch.y, &mut r, 6.0, move |m, y| l.dloss(m, y) * inv);
         match batch.x {
             Examples::Dense(m) => e.gemv_t(m, &r, g),
             Examples::Sparse(m) => e.spmv_t(m, &r, g),

@@ -82,23 +82,28 @@ impl MlpTask {
         &w[off..off + cols]
     }
 
-    /// Forward pass: returns the activations of every layer
-    /// (`acts[0]` = input) and the output logits.
-    fn forward<E: Exec>(&self, e: &mut E, input: &Matrix, w: &[Scalar]) -> (Vec<Matrix>, Matrix) {
-        let mut acts: Vec<Matrix> = vec![input.clone()];
-        let mut cur = input.clone();
+    /// The layer pass: pushes the tanh activations of every hidden layer
+    /// onto `hidden` (cleared first) and returns the output logits.
+    fn layer_pass<E: Exec>(
+        &self,
+        e: &mut E,
+        input: &Matrix,
+        w: &[Scalar],
+        hidden: &mut Vec<Matrix>,
+    ) -> Matrix {
+        hidden.clear();
         for l in 0..self.n_links() {
+            let cur = if l == 0 { input } else { &hidden[l - 1] };
             let wl = self.weights(w, l);
             let mut z = Matrix::zeros(cur.rows(), self.layers[l + 1]);
-            e.gemm(&cur, &wl, &mut z);
+            e.gemm(cur, &wl, &mut z);
             e.add_row_bias(&mut z, self.bias(w, l));
-            if l + 1 < self.layers.len() - 1 {
+            if l + 1 < self.n_links() {
                 // tanh hidden unit (~4 flops)
                 e.map(z.as_mut_slice(), 4.0, |v| v.tanh());
-                acts.push(z.clone());
-                cur = z;
+                hidden.push(z);
             } else {
-                return (acts, z);
+                return z;
             }
         }
         // analyzer: allow(panic-freedom) -- the loop returns on the last link; construction validates at least one link
@@ -114,8 +119,7 @@ impl MlpTask {
             // analyzer: allow(panic-freedom) -- layers is validated nonempty at construction
             return Matrix::zeros(0, *self.layers.last().expect("nonempty"));
         }
-        let (_, logits) = self.forward(e, input, w);
-        logits
+        self.layer_pass(e, input, w, &mut Vec::new())
     }
 
     /// Batched decision values: `logit(class 1) - logit(class 0)` per
@@ -129,9 +133,9 @@ impl MlpTask {
             .collect()
     }
 
-    fn dense_input(batch: &Batch<'_>) -> Matrix {
+    fn dense_input<'a>(batch: &Batch<'a>) -> &'a Matrix {
         match batch.x {
-            Examples::Dense(m) => m.clone(),
+            Examples::Dense(m) => m,
             // analyzer: allow(panic-freedom) -- training task contract: the serving path densifies sparse input before prediction and never reaches here
             Examples::Sparse(_) => panic!(
                 "MlpTask consumes dense batches; densify the (feature-grouped) dataset first"
@@ -165,17 +169,33 @@ impl Task for MlpTask {
         w
     }
 
-    fn loss<E: Exec>(&self, e: &mut E, batch: &Batch<'_>, w: &[Scalar]) -> Scalar {
+    type Forward = MlpForward;
+
+    fn forward<E: Exec>(&self, e: &mut E, batch: &Batch<'_>, w: &[Scalar], fwd: &mut MlpForward) {
         assert_eq!(w.len(), self.dim(), "model dimension mismatch");
         if batch.n() == 0 {
-            return 0.0;
+            *fwd = MlpForward::default();
+            return;
         }
         let input = Self::dense_input(batch);
-        let (_, mut logits) = self.forward(e, &input, w);
-        e.softmax_xent(&mut logits, &batch.classes())
+        let mut logits = self.layer_pass(e, input, w, &mut fwd.hidden);
+        // logits -> (softmax - onehot)/B, the output delta.
+        fwd.loss = e.softmax_xent(&mut logits, &batch.classes());
+        fwd.delta = logits;
     }
 
-    fn gradient<E: Exec>(&self, e: &mut E, batch: &Batch<'_>, w: &[Scalar], g: &mut [Scalar]) {
+    fn loss_from<E: Exec>(&self, _e: &mut E, _batch: &Batch<'_>, fwd: &MlpForward) -> Scalar {
+        fwd.loss
+    }
+
+    fn gradient_from<E: Exec>(
+        &self,
+        e: &mut E,
+        batch: &Batch<'_>,
+        w: &[Scalar],
+        fwd: &MlpForward,
+        g: &mut [Scalar],
+    ) {
         assert_eq!(w.len(), self.dim(), "model dimension mismatch");
         assert_eq!(g.len(), self.dim(), "gradient dimension mismatch");
         if batch.n() == 0 {
@@ -183,13 +203,9 @@ impl Task for MlpTask {
             return;
         }
         let input = Self::dense_input(batch);
-        let (acts, mut logits) = self.forward(e, &input, w);
-        // logits -> (softmax - onehot)/B, the output delta.
-        e.softmax_xent(&mut logits, &batch.classes());
-        let mut delta = logits;
-
+        let mut delta = fwd.delta.clone();
         for l in (0..self.n_links()).rev() {
-            let a = &acts[l];
+            let a = if l == 0 { input } else { &fwd.hidden[l - 1] };
             // Weight and bias gradients of this link.
             let mut gw = Matrix::zeros(self.layers[l], self.layers[l + 1]);
             e.gemm_tn(a, &delta, &mut gw);
@@ -211,6 +227,17 @@ impl Task for MlpTask {
             }
         }
     }
+}
+
+/// What [`MlpTask`]'s forward pass leaves for the loss and the gradient.
+#[derive(Debug, Default)]
+pub struct MlpForward {
+    /// The tanh activations of each hidden layer, one row per example.
+    hidden: Vec<Matrix>,
+    /// The output delta `(softmax - onehot) / B`.
+    delta: Matrix,
+    /// The mean cross-entropy the fused softmax returned.
+    loss: Scalar,
 }
 
 /// Standard-normal sample (Box–Muller); duplicated from `sgd-datagen` to
