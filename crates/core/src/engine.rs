@@ -29,7 +29,6 @@ use sgd_models::{Batch, Examples, Task};
 use crate::config::{DeviceKind, RunOptions};
 use crate::gpu_async::{gpu_hogbatch_observed, gpu_hogwild_observed, GpuAsyncOptions};
 use crate::hogbatch::{hogbatch_observed, make_batches};
-use crate::hogwild::hogwild_observed;
 use crate::metrics::{EpochObserver, NullObserver};
 use crate::modeled::{
     hogbatch_modeled_observed, hogwild_modeled_observed, sync_modeled_observed, CpuModelConfig,
@@ -355,7 +354,7 @@ fn dispatch<T: Task>(
                     gpu_hogwild_observed(task, loss, batch, alpha, opts, &cfg.gpu_async, obs)
                 }
                 (Timing::Wall, dev) => {
-                    hogwild_observed(task, loss, batch, cpu_threads(dev), alpha, opts, obs)
+                    replicated_observed(task, loss, batch, cpu_threads(dev), alpha, None, opts, obs)
                 }
                 (Timing::Modeled(mc), _) => {
                     hogwild_modeled_observed(task, loss, batch, mc, alpha, opts, obs)
@@ -372,7 +371,7 @@ fn dispatch<T: Task>(
                 batch,
                 cpu_threads(cfg.device),
                 alpha,
-                *replication,
+                Some(*replication),
                 opts,
                 obs,
             )

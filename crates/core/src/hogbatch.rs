@@ -13,12 +13,11 @@ use sgd_linalg::{CpuExec, Scalar};
 use sgd_models::{Batch, Task};
 
 use crate::config::{DeviceKind, RunOptions};
-use crate::convergence::LossTrace;
-use crate::faults::{FaultCounters, FaultTally};
-use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
+use crate::epoch_loop::{EpochLoop, ModelStep};
+use crate::faults::FaultTally;
+use crate::metrics::{EpochMetrics, EpochObserver};
 use crate::report::RunReport;
 use crate::shared_model::SharedModel;
-use crate::supervisor::Supervisor;
 
 /// Splits `full` (dense examples required for MLP) into owned mini-batch
 /// matrices of `batch_size` rows. Returns `(matrices, label_slices)` to
@@ -40,8 +39,10 @@ pub fn make_batches(
     out
 }
 
-/// Runs Hogbatch with `threads` workers over the given mini-batches.
-/// `full` is the whole dataset, used only for (untimed) loss evaluation.
+/// Runs Hogbatch with `threads` workers over the given mini-batches:
+/// each worker takes every `threads`-th mini-batch, reading a fresh
+/// (racy) snapshot of the shared model. `full` is the whole dataset, used
+/// only for (untimed) loss evaluation.
 pub(crate) fn hogbatch_observed<T: Task>(
     task: &T,
     full: &Batch<'_>,
@@ -53,43 +54,15 @@ pub(crate) fn hogbatch_observed<T: Task>(
 ) -> RunReport {
     assert!(!batches.is_empty(), "at least one mini-batch required");
     let threads = threads.max(1);
-    // Pin the ambient kernel width to the worker count for the whole run
-    // (inherited by the pooled workers and the untimed loss evaluations).
-    sgd_linalg::pool::with_threads(threads, || {
-        hogbatch_run(task, full, batches, threads, alpha, opts, obs)
-    })
-}
-
-fn hogbatch_run<T: Task>(
-    task: &T,
-    full: &Batch<'_>,
-    batches: &[Batch<'_>],
-    threads: usize,
-    alpha: f64,
-    opts: &RunOptions,
-    obs: &mut dyn EpochObserver,
-) -> RunReport {
-    let device = if threads == 1 { DeviceKind::CpuSeq } else { DeviceKind::CpuPar };
-    let dim = task.dim();
-    let model = SharedModel::from_slice(&task.init_model());
+    let (dim, init) = (task.dim(), task.init_model());
+    let model = SharedModel::from_slice(&init);
     // Concurrent workers read round-stale snapshots; with one worker every
     // snapshot is fresh.
     let staleness_rounds = if threads > 1 { batches.len().div_ceil(threads) as u64 } else { 0 };
-
-    let mut eval = CpuExec::par();
-    let mut trace = LossTrace::new();
-    let mut snapshot = vec![0.0; dim];
-    model.snapshot_into(&mut snapshot);
-    let initial_loss = task.loss(&mut eval, full, &snapshot);
-    trace.push(0.0, initial_loss);
-    let mut rec = Recorder::new(obs);
-    let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
-    let tally = FaultTally::new();
-
-    let mut opt_seconds = 0.0;
-    for epoch in 0..opts.max_epochs {
-        let mut fc = FaultCounters::default();
+    let (faults, tally, mut opt_seconds) = (opts.faults.active(), FaultTally::new(), 0.0);
+    // `snapshot` is the model at the last epoch boundary: loss,
+    // checkpoint and stale-read target.
+    let run = |snapshot: &mut [Scalar], epoch, m: &mut EpochMetrics| {
         let t0 = Instant::now();
         match faults {
             None => {
@@ -120,11 +93,12 @@ fn hogbatch_run<T: Task>(
                 let mut alive: Vec<usize> = Vec::with_capacity(threads);
                 for t in 0..threads {
                     if plan.worker_dead(t, epoch) {
-                        fc.dead_workers += 1;
+                        m.faults.dead_workers += 1;
                     } else {
                         alive.push(t);
                     }
                 }
+                let (snapshot, tally) = (&*snapshot, &tally);
                 sgd_linalg::pool::run(alive.len(), |i| {
                     let t = alive[i];
                     let mut e = CpuExec::seq();
@@ -137,7 +111,7 @@ fn hogbatch_run<T: Task>(
                         let stale = plan.stale_read(epoch, b);
                         let read: &[Scalar] = if stale {
                             stale_n += 1;
-                            &snapshot
+                            snapshot
                         } else {
                             &w
                         };
@@ -164,37 +138,26 @@ fn hogbatch_run<T: Task>(
         }
         let mut epoch_secs = t0.elapsed().as_secs_f64();
         if let Some(plan) = faults {
-            tally.drain_into(&mut fc);
+            tally.drain_into(&mut m.faults);
             let dil = plan.async_dilation(threads);
-            fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
+            m.faults.straggler_delay_secs = epoch_secs * (dil - 1.0);
             epoch_secs *= dil;
         }
         opt_seconds += epoch_secs;
-
-        model.snapshot_into(&mut snapshot);
-        let loss = task.loss(&mut eval, full, &snapshot); // untimed
-        trace.push(opt_seconds, loss);
-        rec.record(EpochMetrics {
-            staleness_rounds,
-            faults: fc,
-            ..EpochMetrics::new(epoch + 1, opt_seconds, loss)
-        });
-        if sup.observe(epoch + 1, opt_seconds, loss, &snapshot, &trace, &mut rec) {
-            break;
-        }
-    }
-    let verdict = sup.finish();
-    RunReport {
+        model.snapshot_into(snapshot); // untimed
+        m.staleness_rounds = staleness_rounds;
+        Ok(opt_seconds)
+    };
+    let device = if threads == 1 { DeviceKind::CpuSeq } else { DeviceKind::CpuPar };
+    let id = EpochLoop {
         label: format!("{} async {} (hogbatch)", task.name(), device.label()),
         device,
         step_size: alpha,
-        trace,
-        opt_seconds,
-        timed_out: verdict.timed_out,
-        metrics: rec.finish(),
-        outcome: verdict.outcome,
-        best_model: verdict.best_model,
-    }
+    };
+    let mut step = ModelStep::new(task, full, CpuExec::par(), init, run);
+    // Pin the ambient kernel width to the worker count for the whole run
+    // (inherited by the pooled workers and the untimed loss evaluations).
+    sgd_linalg::pool::with_threads(threads, || id.run(&mut step, opts, obs))
 }
 
 #[cfg(test)]

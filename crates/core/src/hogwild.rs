@@ -8,21 +8,15 @@
 //! every update touches every coordinate and cache-coherency traffic plus
 //! lost updates erase the benefit of parallelism — the central asynchronous
 //! finding of the paper.
+//!
+//! This module holds the per-worker passes; the wall-clock run is the
+//! replicated step with one shared model (`crate::replication`).
 
-use std::time::Instant;
-
-use sgd_cpusim::{CpuSpec, HogwildCost};
 use sgd_linalg::Scalar;
-use sgd_models::{Batch, Examples, PointwiseLoss, Task};
+use sgd_models::{Batch, Examples, PointwiseLoss};
 
-use crate::config::{DeviceKind, RunOptions};
-use crate::convergence::LossTrace;
-use crate::faults::{FaultCounters, FaultPlan, FaultTally};
-use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
-use crate::modeled::batch_stats;
-use crate::report::RunReport;
+use crate::faults::{FaultPlan, FaultTally};
 use crate::shared_model::SharedModel;
-use crate::supervisor::Supervisor;
 
 /// Deterministic Fisher–Yates shuffle of `0..n` (the single random pass
 /// order shared by all epochs; DimmWitted's data access strategy).
@@ -172,156 +166,27 @@ pub(crate) fn hogwild_worker_faulty<L: PointwiseLoss + ?Sized>(
     tally.add(dropped, stale_n, corrupted);
 }
 
-/// Runs Hogwild over `batch` with `threads` concurrent workers
-/// (`threads == 1` is exactly sequential incremental SGD, the paper's
-/// `cpu-seq` asynchronous baseline).
-pub(crate) fn hogwild_observed<T: Task>(
-    task: &T,
-    loss_fn: &dyn PointwiseLoss,
-    batch: &Batch<'_>,
-    threads: usize,
-    alpha: f64,
-    opts: &RunOptions,
-    obs: &mut dyn EpochObserver,
-) -> RunReport {
-    let threads = threads.max(1);
-    // Pin the ambient kernel width to the worker count for the whole run:
-    // pool tasks inherit it, so neither the per-partition workers nor the
-    // (untimed) loss evaluations ever fan out to machine width.
-    sgd_linalg::pool::with_threads(threads, || {
-        hogwild_run(task, loss_fn, batch, threads, alpha, opts, obs)
-    })
-}
-
-fn hogwild_run<T: Task>(
-    task: &T,
-    loss_fn: &dyn PointwiseLoss,
-    batch: &Batch<'_>,
-    threads: usize,
-    alpha: f64,
-    opts: &RunOptions,
-    obs: &mut dyn EpochObserver,
-) -> RunReport {
-    let device = if threads == 1 { DeviceKind::CpuSeq } else { DeviceKind::CpuPar };
-    let n = batch.n();
-    let order = shuffled_order(n, opts.seed);
-    let chunk = n.div_ceil(threads);
-    let parts: Vec<&[u32]> = order.chunks(chunk.max(1)).collect();
-
-    // Per-epoch instrumentation: rounds of concurrent (potentially stale)
-    // updates, and the cost model's *expected* cross-core invalidation
-    // count for this batch shape on the paper's machine (wall-clock
-    // execution cannot observe real invalidations, so this is the same
-    // analytical estimate the modeled runners charge time for).
-    let (_, avg_nnz, dim, _) = batch_stats(batch);
-    let conflict_rate =
-        HogwildCost { spec: CpuSpec::xeon_e5_2660_v4_dual(), threads }.conflict_rate(avg_nnz, dim);
-    let staleness_rounds = if threads > 1 { n.div_ceil(threads) as u64 } else { 0 };
-    let coherency_per_epoch = n as f64 * avg_nnz * conflict_rate;
-
-    let model = SharedModel::from_slice(&task.init_model());
-    let mut eval = sgd_linalg::CpuExec::par();
-    let mut trace = LossTrace::new();
-    let mut snapshot: Vec<Scalar> = vec![0.0; task.dim()];
-    model.snapshot_into(&mut snapshot);
-    let initial_loss = task.loss(&mut eval, batch, &snapshot);
-    trace.push(0.0, initial_loss);
-    let mut rec = Recorder::new(obs);
-    let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
-    let tally = FaultTally::new();
-
-    let mut opt_seconds = 0.0;
-    for epoch in 0..opts.max_epochs {
-        let mut fc = FaultCounters::default();
-        let t0 = Instant::now();
-        match faults {
-            None => {
-                if threads == 1 {
-                    hogwild_worker(loss_fn, batch, &model, alpha, &order);
-                } else {
-                    sgd_linalg::pool::run(parts.len(), |t| {
-                        hogwild_worker(loss_fn, batch, &model, alpha, parts[t])
-                    });
-                }
-            }
-            Some(plan) => {
-                // `snapshot` still holds the epoch-start model here (it is
-                // refreshed only after the epoch) — reuse it as the stale
-                // target. A dead worker's partition is simply skipped: the
-                // surviving workers carry on (graceful degradation).
-                if threads == 1 {
-                    if plan.worker_dead(0, epoch) {
-                        fc.dead_workers = 1;
-                    } else {
-                        hogwild_worker_faulty(
-                            loss_fn, batch, &model, alpha, &order, plan, epoch, &snapshot, &tally,
-                        );
-                    }
-                } else {
-                    // Death decisions key on the partition index, so they
-                    // are taken here before dispatch; only the surviving
-                    // partitions are handed to the pool.
-                    let mut alive: Vec<&[u32]> = Vec::with_capacity(parts.len());
-                    for (t, part) in parts.iter().enumerate() {
-                        if plan.worker_dead(t, epoch) {
-                            fc.dead_workers += 1;
-                        } else {
-                            alive.push(part);
-                        }
-                    }
-                    sgd_linalg::pool::run(alive.len(), |t| {
-                        hogwild_worker_faulty(
-                            loss_fn, batch, &model, alpha, alive[t], plan, epoch, &snapshot, &tally,
-                        )
-                    });
-                }
-            }
-        }
-        let mut epoch_secs = t0.elapsed().as_secs_f64();
-        if let Some(plan) = faults {
-            tally.drain_into(&mut fc);
-            // Independent workers absorb a straggler: only its throughput
-            // share is lost, never the whole barrier.
-            let dil = plan.async_dilation(threads);
-            fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
-            epoch_secs *= dil;
-        }
-        opt_seconds += epoch_secs;
-
-        model.snapshot_into(&mut snapshot);
-        let loss = task.loss(&mut eval, batch, &snapshot); // untimed
-        trace.push(opt_seconds, loss);
-        rec.record(EpochMetrics {
-            staleness_rounds,
-            coherency_conflicts: coherency_per_epoch,
-            faults: fc,
-            ..EpochMetrics::new(epoch + 1, opt_seconds, loss)
-        });
-        if sup.observe(epoch + 1, opt_seconds, loss, &snapshot, &trace, &mut rec) {
-            break;
-        }
-    }
-    let verdict = sup.finish();
-    RunReport {
-        label: format!("{} async {}", task.name(), device.label()),
-        device,
-        step_size: alpha,
-        trace,
-        opt_seconds,
-        timed_out: verdict.timed_out,
-        metrics: rec.finish(),
-        outcome: verdict.outcome,
-        best_model: verdict.best_model,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DeviceKind, RunOptions};
     use crate::metrics::NullObserver;
+    use crate::replication::replicated_observed;
+    use crate::report::RunReport;
     use sgd_linalg::{CsrMatrix, Matrix};
-    use sgd_models::lr;
+    use sgd_models::{lr, LinearTask, LogisticLoss};
+
+    /// Plain Hogwild (one shared model) over `threads` workers.
+    fn hogwild(
+        task: &LinearTask<LogisticLoss>,
+        b: &Batch<'_>,
+        threads: usize,
+        alpha: f64,
+        opts: &RunOptions,
+    ) -> RunReport {
+        let loss = task.pointwise();
+        replicated_observed(task, loss, b, threads, alpha, None, opts, &mut NullObserver)
+    }
 
     fn sparse_separable(n: usize, d: usize) -> (CsrMatrix, Vec<Scalar>) {
         // Each example touches 2 coordinates; label decided by the first.
@@ -359,7 +224,7 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(32);
         let opts = RunOptions { max_epochs: 60, ..Default::default() };
-        let rep = hogwild_observed(&task, task.pointwise(), &b, 1, 0.5, &opts, &mut NullObserver);
+        let rep = hogwild(&task, &b, 1, 0.5, &opts);
         assert_eq!(rep.device, DeviceKind::CpuSeq);
         assert!(rep.best_loss() < 0.15, "loss {}", rep.best_loss());
         // Sequential execution has no staleness and no coherency traffic.
@@ -373,7 +238,7 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(64);
         let opts = RunOptions { max_epochs: 60, ..Default::default() };
-        let rep = hogwild_observed(&task, task.pointwise(), &b, 4, 0.5, &opts, &mut NullObserver);
+        let rep = hogwild(&task, &b, 4, 0.5, &opts);
         assert_eq!(rep.device, DeviceKind::CpuPar);
         assert!(rep.best_loss() < 0.2, "loss {}", rep.best_loss());
         // Four workers over 512 examples: 128 concurrent-update rounds per
@@ -392,7 +257,7 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(8);
         let opts = RunOptions { max_epochs: 40, ..Default::default() };
-        let rep = hogwild_observed(&task, task.pointwise(), &b, 2, 0.5, &opts, &mut NullObserver);
+        let rep = hogwild(&task, &b, 2, 0.5, &opts);
         assert!(rep.best_loss() < 0.2, "loss {}", rep.best_loss());
         // Dense low-dimensional data drives the coherency estimate up:
         // every touch is expected to invalidate a remote cacheline.
@@ -417,7 +282,7 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(d);
         let opts = RunOptions { max_epochs: 80, ..Default::default() };
-        let rep = hogwild_observed(&task, task.pointwise(), &b, 4, 1.0, &opts, &mut NullObserver);
+        let rep = hogwild(&task, &b, 4, 1.0, &opts);
         assert!(rep.best_loss() < 0.1, "loss {}", rep.best_loss());
     }
 
@@ -427,12 +292,12 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(32);
         let opts = RunOptions { max_epochs: 200, target_loss: Some(0.3), ..Default::default() };
-        let rep = hogwild_observed(&task, task.pointwise(), &b, 2, 0.5, &opts, &mut NullObserver);
+        let rep = hogwild(&task, &b, 2, 0.5, &opts);
         assert!(!rep.timed_out);
 
         // An impossible target within a tiny time budget reports timeout.
         let opts = RunOptions { max_epochs: 3, target_loss: Some(1e-12), ..Default::default() };
-        let rep = hogwild_observed(&task, task.pointwise(), &b, 2, 0.5, &opts, &mut NullObserver);
+        let rep = hogwild(&task, &b, 2, 0.5, &opts);
         assert!(rep.timed_out, "must report the paper's ∞");
     }
 
@@ -448,7 +313,7 @@ mod tests {
             faults: crate::FaultPlan::default().with_worker_death(1, 1),
             ..Default::default()
         };
-        let rep = hogwild_observed(&task, task.pointwise(), &b, 4, 0.5, &opts, &mut NullObserver);
+        let rep = hogwild(&task, &b, 4, 0.5, &opts);
         assert!(!matches!(rep.outcome, crate::RunOutcome::FaultAborted { .. }));
         assert!(rep.best_loss() < 0.3, "loss {}", rep.best_loss());
         assert!(rep.metrics.total_faults().dead_workers > 0);
@@ -469,7 +334,7 @@ mod tests {
                 .with_corruption(0.1, 0.5),
             ..Default::default()
         };
-        let rep = hogwild_observed(&task, task.pointwise(), &b, 2, 0.5, &opts, &mut NullObserver);
+        let rep = hogwild(&task, &b, 2, 0.5, &opts);
         let total = rep.metrics.total_faults();
         assert!(total.dropped_updates > 0);
         assert!(total.stale_reads > 0);

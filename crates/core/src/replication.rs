@@ -1,28 +1,28 @@
-//! DimmWitted-style model replication for NUMA-aware Hogwild.
+//! DimmWitted-style model replication: the wall-clock CPU Hogwild step.
 //!
 //! The paper adopts the DimmWitted (Zhang & Ré, PVLDB 2014) implementation
 //! for its NUMA CPU; DimmWitted's central design axis is *model
 //! replication*: one shared model for the whole machine (PerMachine =
-//! classic Hogwild), one replica per NUMA node with workers sharing their
-//! node's replica, or one replica per core (equivalent to model
-//! averaging). Replicas are averaged at every epoch boundary. The ablation
-//! bench sweeps this axis.
+//! classic Hogwild, which is how `Strategy::Hogwild` runs on the CPU), one
+//! replica per NUMA node with workers sharing their node's replica, or one
+//! replica per core (equivalent to model averaging). Several replicas are
+//! averaged at every epoch boundary; a single one is never averaged. The
+//! ablation bench sweeps this axis.
 
 use std::time::Instant;
 
 use sgd_cpusim::{CpuSpec, HogwildCost};
-use sgd_linalg::Scalar;
+use sgd_linalg::{CpuExec, Scalar};
 use sgd_models::{Batch, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
-use crate::convergence::LossTrace;
-use crate::faults::{FaultCounters, FaultTally};
+use crate::epoch_loop::{EpochLoop, ModelStep};
+use crate::faults::FaultTally;
 use crate::hogwild::{hogwild_worker, hogwild_worker_faulty, shuffled_order};
-use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver};
 use crate::modeled::batch_stats;
 use crate::report::RunReport;
 use crate::shared_model::SharedModel;
-use crate::supervisor::Supervisor;
 
 /// Model-replication strategy (DimmWitted's axis).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +58,10 @@ impl Replication {
     }
 }
 
-/// Hogwild with the chosen replication strategy.
+/// Hogwild over `threads` wall-clock workers with the chosen replication
+/// (`threads == 1` is exactly sequential incremental SGD, the paper's
+/// `cpu-seq` asynchronous baseline). `None` is `Strategy::Hogwild`: one
+/// shared model, reported without a replication tag.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replicated_observed<T: Task>(
     task: &T,
@@ -66,43 +69,31 @@ pub(crate) fn replicated_observed<T: Task>(
     batch: &Batch<'_>,
     threads: usize,
     alpha: f64,
-    replication: Replication,
+    replication: Option<Replication>,
     opts: &RunOptions,
     obs: &mut dyn EpochObserver,
 ) -> RunReport {
     let threads = threads.max(1);
-    // Pin the ambient kernel width to the worker count for the whole run
-    // (inherited by the pooled workers and the untimed loss evaluations).
-    sgd_linalg::pool::with_threads(threads, || {
-        replicated_run(task, loss_fn, batch, threads, alpha, replication, opts, obs)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn replicated_run<T: Task>(
-    task: &T,
-    loss_fn: &dyn PointwiseLoss,
-    batch: &Batch<'_>,
-    threads: usize,
-    alpha: f64,
-    replication: Replication,
-    opts: &RunOptions,
-    obs: &mut dyn EpochObserver,
-) -> RunReport {
-    let n_replicas = replication.replicas(threads);
+    let n_replicas = replication.unwrap_or(Replication::PerMachine).replicas(threads);
     let init = task.init_model();
     let replicas: Vec<SharedModel> =
         (0..n_replicas).map(|_| SharedModel::from_slice(&init)).collect();
-
     let n = batch.n();
     let order = shuffled_order(n, opts.seed);
-    let chunk = n.div_ceil(threads);
-    let parts: Vec<&[u32]> = order.chunks(chunk.max(1)).collect();
+    // Worker `t` takes `parts[t]` of the shuffled order and updates
+    // replica `t % n_replicas`; one worker takes the whole order.
+    let parts: Vec<&[u32]> = if threads == 1 {
+        vec![&order[..]]
+    } else {
+        order.chunks(n.div_ceil(threads).max(1)).collect()
+    };
 
     // Contention only arises between threads sharing a replica, so the
     // coherency estimate and staleness rounds use the per-replica group
     // size (PerCore has private replicas: neither stale reads nor
-    // conflicting writes within an epoch).
+    // conflicting writes within an epoch). Wall-clock execution cannot
+    // observe real invalidations, so this is the same analytical estimate
+    // the modeled runners charge time for, on the paper's machine.
     let group = threads.div_ceil(n_replicas);
     let (_, avg_nnz, dim, _) = batch_stats(batch);
     let conflict_rate = HogwildCost { spec: CpuSpec::xeon_e5_2660_v4_dual(), threads: group }
@@ -110,107 +101,94 @@ fn replicated_run<T: Task>(
     let staleness_rounds = if group > 1 { n.div_ceil(threads) as u64 } else { 0 };
     let coherency_per_epoch = n as f64 * avg_nnz * conflict_rate;
 
-    let mut eval = sgd_linalg::CpuExec::par();
-    let mut trace = LossTrace::new();
-    let mut avg = init.clone();
-    let initial_loss = task.loss(&mut eval, batch, &avg);
-    trace.push(0.0, initial_loss);
-    let mut rec = Recorder::new(obs);
-    let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
-    let tally = FaultTally::new();
-
-    let mut opt_seconds = 0.0;
-    for epoch in 0..opts.max_epochs {
-        let mut fc = FaultCounters::default();
+    let (faults, tally) = (opts.faults.active(), FaultTally::new());
+    let (mut buf, mut opt_seconds) = (vec![0.0; init.len()], 0.0);
+    // `avg` is the epoch-start model: the replicas' average, or the single
+    // replica's snapshot. Loss, checkpoint and stale-read target.
+    let run = |avg: &mut [Scalar], epoch, m: &mut EpochMetrics| {
         let t0 = Instant::now();
         match faults {
-            None => {
-                sgd_linalg::pool::run(parts.len(), |t| {
-                    hogwild_worker(loss_fn, batch, &replicas[t % n_replicas], alpha, parts[t])
-                });
-            }
+            None => run_workers(threads, parts.len(), |t| {
+                hogwild_worker(loss_fn, batch, &replicas[t % n_replicas], alpha, parts[t])
+            }),
             Some(plan) => {
-                // `avg` still holds the epoch-start averaged model (every
-                // replica was reset to it at the previous boundary): the
-                // stale-read target. Death decisions key on the partition
-                // index, so they are taken here before dispatch; dead
-                // workers' partitions are skipped, and the survivors keep
-                // their original replica assignment (`t % n_replicas`).
+                // Death decisions key on the partition index, so they are
+                // taken here before dispatch; dead workers' partitions are
+                // skipped (the survivors carry on, keeping their replica).
                 let mut alive: Vec<usize> = Vec::with_capacity(parts.len());
                 for t in 0..parts.len() {
                     if plan.worker_dead(t, epoch) {
-                        fc.dead_workers += 1;
+                        m.faults.dead_workers += 1;
                     } else {
                         alive.push(t);
                     }
                 }
-                sgd_linalg::pool::run(alive.len(), |i| {
+                let (stale, tally) = (&*avg, &tally);
+                run_workers(threads, alive.len(), |i| {
                     let t = alive[i];
+                    let model = &replicas[t % n_replicas];
                     hogwild_worker_faulty(
-                        loss_fn,
-                        batch,
-                        &replicas[t % n_replicas],
-                        alpha,
-                        parts[t],
-                        plan,
-                        epoch,
-                        &avg,
-                        &tally,
+                        loss_fn, batch, model, alpha, parts[t], plan, epoch, stale, tally,
                     )
                 });
             }
         }
-
-        // Epoch-boundary averaging (counted in optimization time: it is
-        // part of the algorithm, unlike loss evaluation).
-        average_replicas(&replicas, &mut avg);
-        for r in &replicas {
-            r.store_from(&avg);
+        if n_replicas > 1 {
+            // Epoch-boundary averaging (counted in optimization time: it
+            // is part of the algorithm, unlike loss evaluation).
+            average_replicas(&replicas, avg, &mut buf);
+            for r in &replicas {
+                r.store_from(avg);
+            }
         }
         let mut epoch_secs = t0.elapsed().as_secs_f64();
         if let Some(plan) = faults {
-            tally.drain_into(&mut fc);
+            tally.drain_into(&mut m.faults);
+            // Independent workers absorb a straggler: only its throughput
+            // share is lost, never the whole barrier.
             let dil = plan.async_dilation(threads);
-            fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
+            m.faults.straggler_delay_secs = epoch_secs * (dil - 1.0);
             epoch_secs *= dil;
         }
         opt_seconds += epoch_secs;
-
-        let loss = task.loss(&mut eval, batch, &avg);
-        trace.push(opt_seconds, loss);
-        rec.record(EpochMetrics {
-            staleness_rounds,
-            coherency_conflicts: coherency_per_epoch,
-            faults: fc,
-            ..EpochMetrics::new(epoch + 1, opt_seconds, loss)
-        });
-        if sup.observe(epoch + 1, opt_seconds, loss, &avg, &trace, &mut rec) {
-            break;
+        if n_replicas == 1 {
+            replicas[0].snapshot_into(avg); // untimed
         }
-    }
-    let verdict = sup.finish();
+        m.staleness_rounds = staleness_rounds;
+        m.coherency_conflicts = coherency_per_epoch;
+        Ok(opt_seconds)
+    };
+
     let device = if threads == 1 { DeviceKind::CpuSeq } else { DeviceKind::CpuPar };
-    RunReport {
-        label: format!("{} async {} [{}]", task.name(), device.label(), replication.label()),
-        device,
-        step_size: alpha,
-        trace,
-        opt_seconds,
-        timed_out: verdict.timed_out,
-        metrics: rec.finish(),
-        outcome: verdict.outcome,
-        best_model: verdict.best_model,
+    let mut label = format!("{} async {}", task.name(), device.label());
+    if let Some(r) = replication {
+        label = format!("{label} [{}]", r.label());
+    }
+    let id = EpochLoop { label, device, step_size: alpha };
+    let mut step = ModelStep::new(task, batch, CpuExec::par(), init, run);
+    // Pin the ambient kernel width to the worker count for the whole run:
+    // pool tasks inherit it, so neither the per-partition workers nor the
+    // (untimed) loss evaluations ever fan out to machine width.
+    sgd_linalg::pool::with_threads(threads, || id.run(&mut step, opts, obs))
+}
+
+/// Runs `f` for each of `tasks` workers: inline for one thread, on the
+/// pool otherwise.
+fn run_workers(threads: usize, tasks: usize, f: impl Fn(usize) + Sync) {
+    if threads == 1 {
+        (0..tasks).for_each(f);
+    } else {
+        sgd_linalg::pool::run(tasks, f);
     }
 }
 
-fn average_replicas(replicas: &[SharedModel], out: &mut [Scalar]) {
+/// Writes the mean of `replicas` into `out`, reading each through `buf`.
+fn average_replicas(replicas: &[SharedModel], out: &mut [Scalar], buf: &mut [Scalar]) {
     let inv = 1.0 / replicas.len() as Scalar;
     out.fill(0.0);
-    let mut buf = vec![0.0; out.len()];
     for r in replicas {
-        r.snapshot_into(&mut buf);
-        for (o, &v) in out.iter_mut().zip(&buf) {
+        r.snapshot_into(buf);
+        for (o, &v) in out.iter_mut().zip(buf.iter()) {
             *o += v * inv;
         }
     }
@@ -319,7 +297,7 @@ mod tests {
         let a = SharedModel::from_slice(&[1.0, 3.0]);
         let b = SharedModel::from_slice(&[3.0, 5.0]);
         let mut out = vec![0.0; 2];
-        average_replicas(&[a, b], &mut out);
+        average_replicas(&[a, b], &mut out, &mut [0.0; 2]);
         assert_eq!(out, vec![2.0, 4.0]);
     }
 }

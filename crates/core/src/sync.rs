@@ -7,16 +7,15 @@
 //! code runs on all three devices through the `Exec` abstraction.
 
 use sgd_gpusim::kernels::GpuExec;
-use sgd_linalg::{CpuExec, Exec};
+use sgd_linalg::{CpuExec, Exec, Scalar};
 use sgd_models::{Batch, Task};
 
 use crate::backend::{BackendSession, ComputeBackend, ExecTask};
 use crate::config::{DeviceKind, RunOptions};
-use crate::convergence::LossTrace;
+use crate::epoch_loop::{EpochLoop, EpochStep, Halt, ModelStep};
 use crate::faults::{sync_epoch_faults, FaultCounters, FaultPlan, SyncFaultDecision};
-use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe};
 use crate::report::RunReport;
-use crate::supervisor::Supervisor;
 
 /// Runs synchronous (batch) gradient descent for `task` over `batch` on
 /// the given device with step size `alpha`.
@@ -33,18 +32,133 @@ pub(crate) fn sync_observed<T: Task>(
     opts: &RunOptions,
     obs: &mut dyn EpochObserver,
 ) -> RunReport {
+    let id = EpochLoop {
+        label: format!("{} sync {}", task.name(), device.label()),
+        device,
+        step_size: alpha,
+    };
+    let mut s = SyncState::new(task, batch, alpha, opts, opts.threads);
     match ComputeBackend::from_device(device, opts.threads) {
-        ComputeBackend::GpuSim => gpu_run(task, batch, alpha, opts, obs),
+        ComputeBackend::GpuSim => {
+            let (mut dev, mut probe, mut host) =
+                (opts.gpu_device(), GpuEpochProbe::new(), CpuExec::seq());
+            let mut warm_epoch_cost = 0.0;
+            let run = |w: &mut [Scalar], epoch, m: &mut EpochMetrics| {
+                if s.barrier_stalled(epoch) {
+                    return Err(Halt::FaultAborted { clock: dev.elapsed_secs() });
+                }
+                probe.begin(&dev);
+                let epoch_start = dev.elapsed_secs();
+                if epoch < 2 {
+                    // Trace the real kernel stream (epoch 0 cold, epoch 1
+                    // warm L2).
+                    let mut e = GpuExec::new(&mut dev);
+                    s.task.gradient(&mut e, batch, w, &mut s.g);
+                    s.update(&mut e, w, epoch, &mut m.faults);
+                    warm_epoch_cost = dev.elapsed_secs() - epoch_start;
+                } else {
+                    // Identical access pattern: replay the warm-epoch cost
+                    // while computing the numerically identical update on
+                    // the host.
+                    s.task.gradient(&mut host, batch, w, &mut s.g);
+                    s.update(&mut host, w, epoch, &mut m.faults);
+                    dev.advance_secs(warm_epoch_cost);
+                }
+                if let Some(plan) = s.faults {
+                    // The device stream stalls until the slowest
+                    // participant of the synchronous step has finished.
+                    let dil = plan.sync_dilation(s.workers);
+                    m.faults.straggler_delay_secs =
+                        (dev.elapsed_secs() - epoch_start) * (dil - 1.0);
+                    dev.advance_secs(m.faults.straggler_delay_secs);
+                }
+                (m.simulated_cycles, m.l2_hit_ratio) = probe.end(&dev);
+                Ok(dev.elapsed_secs())
+            };
+            id.run(
+                &mut ModelStep::new(task, batch, CpuExec::seq(), task.init_model(), run),
+                opts,
+                obs,
+            )
+        }
         // Both CPU corners collapse into one arm: the backend owns the
         // seq-vs-pooled-par distinction (including installing the kernel
         // width on the persistent pool around every dispatch, so kernels
         // running on pool workers honor `opts.threads`).
-        backend => cpu_run(task, batch, backend, alpha, opts, obs),
+        backend => {
+            let mut step = CpuSyncStep {
+                sync: s,
+                backend,
+                sess: BackendSession::new(),
+                w: task.init_model(),
+                fwd: T::Forward::default(),
+                fwd_is_current: false,
+                opt_seconds: 0.0,
+            };
+            id.run(&mut step, opts, obs)
+        }
     }
 }
 
-fn label<T: Task>(task: &T, device: DeviceKind) -> String {
-    format!("{} sync {}", task.name(), device.label())
+/// What every sync step carries besides the model: the gradient and the
+/// last applied gradient (kept for stale-gradient-replay faults).
+pub(crate) struct SyncState<'a, T: Task> {
+    pub(crate) task: &'a T,
+    pub(crate) batch: &'a Batch<'a>,
+    pub(crate) alpha: f64,
+    pub(crate) faults: Option<&'a FaultPlan>,
+    /// Participants of the barrier (dead or straggling workers stall it).
+    pub(crate) workers: usize,
+    pub(crate) g: Vec<Scalar>,
+    pub(crate) prev_g: Vec<Scalar>,
+}
+
+impl<'a, T: Task> SyncState<'a, T> {
+    pub(crate) fn new(
+        task: &'a T,
+        batch: &'a Batch<'a>,
+        alpha: f64,
+        opts: &'a RunOptions,
+        workers: usize,
+    ) -> Self {
+        SyncState {
+            task,
+            batch,
+            alpha,
+            faults: opts.faults.active(),
+            workers: workers.max(1),
+            g: vec![0.0; task.dim()],
+            prev_g: vec![0.0; task.dim()],
+        }
+    }
+
+    /// Applies the gradient in `g` to `w`, as the fault plan decides for
+    /// `epoch`: dropped, replaced by the last applied gradient, or scaled.
+    pub(crate) fn update<E: Exec>(
+        &mut self,
+        e: &mut E,
+        w: &mut [Scalar],
+        epoch: usize,
+        fc: &mut FaultCounters,
+    ) {
+        let d = match self.faults {
+            Some(plan) => sync_epoch_faults(plan, epoch, fc),
+            None => SyncFaultDecision::none(),
+        };
+        if !d.dropped {
+            let step = if d.stale { &self.prev_g } else { &self.g };
+            e.axpy(-self.alpha * d.alpha_factor, step, w);
+        }
+        if !d.stale {
+            std::mem::swap(&mut self.g, &mut self.prev_g);
+        }
+    }
+
+    /// `true` when a dead worker never reaches this epoch's barrier: the
+    /// epoch can never complete.
+    pub(crate) fn barrier_stalled(&self, epoch: usize) -> bool {
+        self.faults.is_some_and(|plan| plan.barrier_stalled(self.workers, epoch))
+    }
 }
 
 /// Full-batch loss evaluation as a backend job: the loss is read off the
@@ -74,207 +188,67 @@ impl<T: Task> ExecTask for LossJob<'_, T> {
 /// epoch's loss and the next epoch's gradient read. The kernel stream is
 /// identical on every backend, which is what makes the loss trajectory
 /// device-independent.
-struct SyncEpochJob<'a, T: Task> {
-    task: &'a T,
-    batch: &'a Batch<'a>,
-    alpha: f64,
+struct SyncEpochJob<'s, 'a, T: Task> {
+    sync: &'s mut SyncState<'a, T>,
     epoch: usize,
-    faults: Option<&'a FaultPlan>,
-    w: &'a mut Vec<f64>,
-    g: &'a mut Vec<f64>,
-    prev_g: &'a mut Vec<f64>,
-    fwd: &'a mut T::Forward,
-    fc: &'a mut FaultCounters,
+    w: &'s mut [Scalar],
+    fwd: &'s mut T::Forward,
+    fc: &'s mut FaultCounters,
 }
 
-impl<T: Task> ExecTask for SyncEpochJob<'_, T> {
+impl<T: Task> ExecTask for SyncEpochJob<'_, '_, T> {
     type Out = ();
     fn run<E: Exec>(&mut self, e: &mut E) {
-        self.task.gradient_from(e, self.batch, self.w, self.fwd, self.g);
-        let d = match self.faults {
-            Some(plan) => sync_epoch_faults(plan, self.epoch, self.fc),
-            None => SyncFaultDecision::none(),
-        };
-        if !d.dropped {
-            let step = if d.stale { &*self.prev_g } else { &*self.g };
-            e.axpy(-self.alpha * d.alpha_factor, step, self.w);
-        }
-        if !d.stale {
-            std::mem::swap(self.g, self.prev_g);
-        }
-        self.task.forward(e, self.batch, self.w, self.fwd);
+        let s = &mut *self.sync;
+        s.task.gradient_from(e, s.batch, self.w, self.fwd, &mut s.g);
+        s.update(e, self.w, self.epoch, self.fc);
+        s.task.forward(e, s.batch, self.w, self.fwd);
     }
 }
 
-fn cpu_run<T: Task>(
-    task: &T,
-    batch: &Batch<'_>,
+/// The CPU sync step: one timed backend dispatch per epoch, the loss
+/// read off the forward pass it ends with in a second, untimed one.
+struct CpuSyncStep<'a, T: Task> {
+    sync: SyncState<'a, T>,
     backend: ComputeBackend,
-    alpha: f64,
-    opts: &RunOptions,
-    obs: &mut dyn EpochObserver,
-) -> RunReport {
-    let device = backend.device_kind();
-    let mut sess = BackendSession::new();
-    let mut w = task.init_model();
-    let mut g = vec![0.0; task.dim()];
-    // Last applied gradient, kept for stale-gradient-replay faults.
-    let mut prev_g = vec![0.0; task.dim()];
-    // The forward pass of the current model, reused across epochs.
-    let mut fwd = T::Forward::default();
-    let mut trace = LossTrace::new();
-    let mut initial = LossJob { task, batch, forward_of: Some(&w), fwd: &mut fwd };
-    let initial_loss = backend.dispatch(&mut sess, &mut initial).out;
-    trace.push(0.0, initial_loss);
-    let mut rec = Recorder::new(obs);
-    let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
-    let workers = opts.threads.max(1);
-    let mut opt_seconds = 0.0;
-    for epoch in 0..opts.max_epochs {
-        if let Some(plan) = faults {
-            if plan.barrier_stalled(workers, epoch) {
-                // A dead worker never reaches the barrier: the epoch can
-                // never complete.
-                sup.abort(epoch + 1);
-                break;
-            }
+    sess: BackendSession,
+    w: Vec<Scalar>,
+    /// The forward pass of the current model, reused across epochs.
+    fwd: T::Forward,
+    /// `false` until a dispatch has left the current model's pass in `fwd`.
+    fwd_is_current: bool,
+    opt_seconds: f64,
+}
+
+impl<T: Task> EpochStep for CpuSyncStep<'_, T> {
+    fn loss(&mut self) -> f64 {
+        let s = &self.sync;
+        let forward_of = if self.fwd_is_current { None } else { Some(&self.w[..]) };
+        let mut job = LossJob { task: s.task, batch: s.batch, forward_of, fwd: &mut self.fwd };
+        self.fwd_is_current = true;
+        self.backend.dispatch(&mut self.sess, &mut job).out
+    }
+
+    fn epoch(&mut self, epoch: usize, m: &mut EpochMetrics) -> Result<f64, Halt> {
+        let s = &mut self.sync;
+        if s.barrier_stalled(epoch) {
+            return Err(Halt::FaultAborted { clock: self.opt_seconds });
         }
-        let mut fc = FaultCounters::default();
-        let mut job = SyncEpochJob {
-            task,
-            batch,
-            alpha,
-            epoch,
-            faults,
-            w: &mut w,
-            g: &mut g,
-            prev_g: &mut prev_g,
-            fwd: &mut fwd,
-            fc: &mut fc,
-        };
-        let mut epoch_secs = backend.dispatch(&mut sess, &mut job).wall_secs;
-        if let Some(plan) = faults {
+        let (w, fwd, fc) = (&mut self.w[..], &mut self.fwd, &mut m.faults);
+        let mut job = SyncEpochJob { sync: s, epoch, w, fwd, fc };
+        let mut epoch_secs = self.backend.dispatch(&mut self.sess, &mut job).wall_secs;
+        if let Some(plan) = s.faults {
             // The barrier waits for the slowest straggler.
-            let dil = plan.sync_dilation(workers);
-            fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
+            let dil = plan.sync_dilation(s.workers);
+            m.faults.straggler_delay_secs = epoch_secs * (dil - 1.0);
             epoch_secs *= dil;
         }
-        opt_seconds += epoch_secs;
-        // Loss evaluation is excluded from timing; it reads the forward
-        // pass the epoch job ended with.
-        let mut read = LossJob { task, batch, forward_of: None, fwd: &mut fwd };
-        let loss = backend.dispatch(&mut sess, &mut read).out;
-        trace.push(opt_seconds, loss);
-        rec.record(EpochMetrics { faults: fc, ..EpochMetrics::new(epoch + 1, opt_seconds, loss) });
-        if sup.observe(epoch + 1, opt_seconds, loss, &w, &trace, &mut rec) {
-            break;
-        }
+        self.opt_seconds += epoch_secs;
+        Ok(self.opt_seconds)
     }
-    let verdict = sup.finish();
-    RunReport {
-        label: label(task, device),
-        device,
-        step_size: alpha,
-        trace,
-        opt_seconds,
-        timed_out: verdict.timed_out,
-        metrics: rec.finish(),
-        outcome: verdict.outcome,
-        best_model: verdict.best_model,
-    }
-}
 
-fn gpu_run<T: Task>(
-    task: &T,
-    batch: &Batch<'_>,
-    alpha: f64,
-    opts: &RunOptions,
-    obs: &mut dyn EpochObserver,
-) -> RunReport {
-    let mut dev = opts.gpu_device();
-    let mut eval = CpuExec::seq();
-    let mut w = task.init_model();
-    let mut g = vec![0.0; task.dim()];
-    // Last applied gradient, kept for stale-gradient-replay faults.
-    let mut prev_g = vec![0.0; task.dim()];
-    let mut trace = LossTrace::new();
-    let initial_loss = task.loss(&mut eval, batch, &w);
-    trace.push(0.0, initial_loss);
-    let mut rec = Recorder::new(obs);
-    let mut probe = GpuEpochProbe::new();
-    let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
-    let workers = opts.threads.max(1);
-    let mut warm_epoch_cost = 0.0;
-    for epoch in 0..opts.max_epochs {
-        if let Some(plan) = faults {
-            if plan.barrier_stalled(workers, epoch) {
-                sup.abort(epoch + 1);
-                break;
-            }
-        }
-        let mut fc = FaultCounters::default();
-        let d = match faults {
-            Some(plan) => sync_epoch_faults(plan, epoch, &mut fc),
-            None => SyncFaultDecision::none(),
-        };
-        probe.begin(&dev);
-        let epoch_start = dev.elapsed_secs();
-        if epoch < 2 {
-            // Trace the real kernel stream (epoch 0 cold, epoch 1 warm L2).
-            let t0 = dev.elapsed_secs();
-            let mut e = GpuExec::new(&mut dev);
-            task.gradient(&mut e, batch, &w, &mut g);
-            if !d.dropped {
-                let step = if d.stale { &prev_g } else { &g };
-                e.axpy(-alpha * d.alpha_factor, step, &mut w);
-            }
-            warm_epoch_cost = dev.elapsed_secs() - t0;
-        } else {
-            // Identical access pattern: replay the warm-epoch cost while
-            // computing the numerically identical update on the host.
-            task.gradient(&mut eval, batch, &w, &mut g);
-            if !d.dropped {
-                let step = if d.stale { &prev_g } else { &g };
-                eval.axpy(-alpha * d.alpha_factor, step, &mut w);
-            }
-            dev.advance_secs(warm_epoch_cost);
-        }
-        if !d.stale {
-            std::mem::swap(&mut g, &mut prev_g);
-        }
-        if let Some(plan) = faults {
-            // The device stream stalls until the slowest participant of
-            // the synchronous step has finished.
-            let dil = plan.sync_dilation(workers);
-            fc.straggler_delay_secs = (dev.elapsed_secs() - epoch_start) * (dil - 1.0);
-            dev.advance_secs(fc.straggler_delay_secs);
-        }
-        let (cycles, l2) = probe.end(&dev);
-        let loss = task.loss(&mut eval, batch, &w);
-        trace.push(dev.elapsed_secs(), loss);
-        rec.record(EpochMetrics {
-            simulated_cycles: cycles,
-            l2_hit_ratio: l2,
-            faults: fc,
-            ..EpochMetrics::new(epoch + 1, dev.elapsed_secs(), loss)
-        });
-        if sup.observe(epoch + 1, dev.elapsed_secs(), loss, &w, &trace, &mut rec) {
-            break;
-        }
-    }
-    let verdict = sup.finish();
-    RunReport {
-        label: label(task, DeviceKind::Gpu),
-        device: DeviceKind::Gpu,
-        step_size: alpha,
-        trace,
-        opt_seconds: dev.elapsed_secs(),
-        timed_out: verdict.timed_out,
-        metrics: rec.finish(),
-        outcome: verdict.outcome,
-        best_model: verdict.best_model,
+    fn model(&self) -> &[Scalar] {
+        &self.w
     }
 }
 

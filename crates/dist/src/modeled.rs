@@ -29,8 +29,8 @@ use sgd_linalg::{CpuExec, Scalar};
 use sgd_models::{Batch, Task};
 
 use sgd_core::{
-    BackendSession, ComputeBackend, CpuModelConfig, EpochMetrics, FaultCounters, FaultPlan,
-    LossTrace, NullObserver, Recorder, RunOptions, RunReport, Supervisor,
+    BackendSession, ComputeBackend, CpuModelConfig, EpochLoop, EpochMetrics, EpochStep,
+    FaultCounters, FaultPlan, Halt, NullObserver, RunOptions, RunReport,
 };
 
 use crate::server::{ConsistencyMode, LeaseGrant, ParamServer, PushOutcome};
@@ -216,7 +216,7 @@ pub fn run_dist_modeled<T: Task>(
     }
 
     let workers = cfg.workers.max(1);
-    let mut sim = Sim {
+    let sim = Sim {
         task,
         shards: &shards,
         costs: &costs,
@@ -238,19 +238,45 @@ pub fn run_dist_modeled<T: Task>(
         seq: 0,
     };
 
-    let mut eval = CpuExec::seq();
-    let mut trace = LossTrace::new();
-    let initial_loss = task.loss(&mut eval, batch, &w0);
-    trace.push(0.0, initial_loss);
-    let mut obs = NullObserver;
-    let mut rec = Recorder::new(&mut obs);
-    let mut sup = Supervisor::new(opts, initial_loss);
+    let mut step = ClusterStep {
+        sim,
+        batch,
+        seed: opts.seed,
+        eval: CpuExec::seq(),
+        now: 0.0,
+        order_buf: Vec::new(),
+        dying: vec![false; workers],
+    };
+    let id = EpochLoop {
+        label: format!("{} dist-{} x{} (modeled)", task.name(), cfg.mode.label(), workers),
+        device: cfg.mc.device(),
+        step_size: alpha,
+    };
+    id.run(&mut step, opts, &mut NullObserver)
+}
 
-    let mut now = 0.0;
-    let mut order_buf: Vec<usize> = Vec::new();
-    let mut dying: Vec<bool> = vec![false; workers];
-    for epoch in 0..opts.max_epochs {
-        let mut fc = FaultCounters::default();
+/// One epoch of the simulated cluster: membership changes at the
+/// boundary, then events until the server has applied every shard.
+struct ClusterStep<'a, T: Task> {
+    sim: Sim<'a, T>,
+    batch: &'a Batch<'a>,
+    seed: u64,
+    eval: CpuExec,
+    /// The simulation clock.
+    now: f64,
+    order_buf: Vec<usize>,
+    /// Members whose death epoch arrived; each dies at its first event.
+    dying: Vec<bool>,
+}
+
+impl<T: Task> EpochStep for ClusterStep<'_, T> {
+    fn loss(&mut self) -> f64 {
+        self.sim.task.loss(&mut self.eval, self.batch, self.sim.server.model())
+    }
+
+    fn epoch(&mut self, epoch: usize, m: &mut EpochMetrics) -> Result<f64, Halt> {
+        let (sim, dying, fc) = (&mut self.sim, &mut self.dying, &mut m.faults);
+        let workers = sim.workers.len();
         let stats0 = sim.server.stats();
 
         // Membership transitions at the epoch boundary: the plan's dead
@@ -268,26 +294,25 @@ pub fn run_dist_modeled<T: Task>(
                 ws.idle = true;
                 ws.version = version;
                 ws.w = model.to_vec();
-                ws.g = vec![0.0; dim];
+                ws.g = vec![0.0; model.len()];
             }
         }
         let survivors = (0..workers).filter(|&wk| sim.workers[wk].alive && !dying[wk]).count();
         if survivors == 0 {
-            sup.abort(epoch + 1);
-            break;
+            return Err(Halt::FaultAborted { clock: self.now });
         }
 
-        epoch_order(shards.len(), opts.seed, epoch, &mut order_buf);
-        sim.server.begin_epoch(&order_buf);
+        epoch_order(sim.shards.len(), self.seed, epoch, &mut self.order_buf);
+        sim.server.begin_epoch(&self.order_buf);
         for wk in 0..workers {
             if sim.workers[wk].alive {
-                sim.schedule_work(wk, now, &mut fc);
+                sim.schedule_work(wk, self.now, fc);
             }
         }
 
         while !sim.server.epoch_done() {
             let Some(Reverse(ev)) = sim.heap.pop() else { break };
-            now = ev.t;
+            self.now = ev.t;
             let wk = ev.worker;
             if !sim.workers[wk].alive {
                 continue;
@@ -300,7 +325,7 @@ pub fn run_dist_modeled<T: Task>(
                 sim.workers[wk].alive = false;
                 sim.server.leave(wk);
                 fc.dead_workers += 1;
-                sim.wake_idle(now, &mut fc);
+                sim.wake_idle(self.now, fc);
                 continue;
             }
             let shard = sim.workers[wk].shard;
@@ -314,45 +339,26 @@ pub fn run_dist_modeled<T: Task>(
             match outcome {
                 PushOutcome::RejectedStale { .. } => {
                     // Same shard, fresh model: the ElasticDL recompute.
-                    sim.fire_compute(wk, shard, now, &mut fc);
+                    sim.fire_compute(wk, shard, self.now, fc);
                 }
-                _ => sim.schedule_work(wk, now, &mut fc),
+                _ => sim.schedule_work(wk, self.now, fc),
             }
         }
         if !sim.server.epoch_done() {
             // The pool still holds pending shards but every worker is
             // gone: the distributed analog of a stalled barrier.
-            sup.abort(epoch + 1);
-            break;
+            return Err(Halt::FaultAborted { clock: self.now });
         }
         sim.server.flush_pending();
 
-        let loss = task.loss(&mut eval, batch, sim.server.model()); // untimed
-        trace.push(now, loss);
         let stats = sim.server.stats();
-        let staleness_rounds =
+        m.staleness_rounds =
             (stats.rejected + stats.downweighted) - (stats0.rejected + stats0.downweighted);
-        rec.record(EpochMetrics {
-            staleness_rounds,
-            faults: fc,
-            ..EpochMetrics::new(epoch + 1, now, loss)
-        });
-        if sup.observe(epoch + 1, now, loss, sim.server.model(), &trace, &mut rec) {
-            break;
-        }
+        Ok(self.now)
     }
 
-    let verdict = sup.finish();
-    RunReport {
-        label: format!("{} dist-{} x{} (modeled)", task.name(), cfg.mode.label(), workers),
-        device: cfg.mc.device(),
-        step_size: alpha,
-        trace,
-        opt_seconds: now,
-        timed_out: verdict.timed_out,
-        metrics: rec.finish(),
-        outcome: verdict.outcome,
-        best_model: verdict.best_model,
+    fn model(&self) -> &[Scalar] {
+        self.sim.server.model()
     }
 }
 

@@ -37,10 +37,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sgd_core::{
-    EpochMetrics, LossTrace, NullObserver, Recorder, RunOptions, RunReport, Supervisor,
-};
-use sgd_linalg::CpuExec;
+use sgd_core::{EpochLoop, EpochMetrics, EpochStep, Halt, NullObserver, RunOptions, RunReport};
+use sgd_linalg::{CpuExec, Scalar};
 use sgd_models::{Batch, Task};
 use sgd_serve::framing::{lock_tolerant, Handler, LineServer};
 
@@ -337,18 +335,13 @@ pub fn run_dist_wire<T: Task>(
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
 
-    let mut eval = CpuExec::seq();
-    let mut trace = LossTrace::new();
-    let initial_loss = task.loss(&mut eval, batch, &w0);
-    trace.push(0.0, initial_loss);
-    let mut obs = NullObserver;
-    let mut rec = Recorder::new(&mut obs);
-    let mut sup = Supervisor::new(opts, initial_loss);
-
+    let id = EpochLoop {
+        label: format!("{} dist-{} x{} (wire)", task.name(), cfg.mode.label(), workers),
+        device: sgd_core::DeviceKind::CpuSeq,
+        step_size: alpha,
+    };
     let worker_err: Mutex<Option<String>> = Mutex::new(None);
-    let start = Instant::now();
-    let mut elapsed = 0.0;
-    std::thread::scope(|s| {
+    let report = std::thread::scope(|s| {
         let serve = s.spawn(|| front.serve_connections(&listener, workers));
         for wk in 0..workers {
             let shards = &shards;
@@ -379,66 +372,85 @@ pub fn run_dist_wire<T: Task>(
         }
 
         // The coordinator: steer epochs on the shared server handle.
-        let mut order: Vec<usize> = Vec::new();
-        for epoch in 0..opts.max_epochs {
-            epoch_order(shards.len(), opts.seed, epoch, &mut order);
-            lock_tolerant(&server).begin_epoch(&order);
-            loop {
-                {
-                    let srv = lock_tolerant(&server);
-                    if srv.epoch_done() {
-                        break;
-                    }
-                }
-                // Two separate acquisitions: never hold the error slot
-                // while taking the server lock.
-                let errored = lock_tolerant(&worker_err).is_some();
-                let dead_cluster = errored && lock_tolerant(&server).live_workers() == 0;
-                if dead_cluster || start.elapsed().as_secs_f64() > opts.max_secs {
-                    break;
-                }
-                std::thread::sleep(POLL);
-            }
-            elapsed = start.elapsed().as_secs_f64();
-            let (done, loss) = {
-                let mut srv = lock_tolerant(&server);
-                if srv.epoch_done() {
-                    srv.flush_pending();
-                    (true, task.loss(&mut eval, batch, srv.model()))
-                } else {
-                    (false, f64::NAN)
-                }
-            };
-            if !done {
-                sup.abort(epoch + 1);
-                break;
-            }
-            trace.push(elapsed, loss);
-            rec.record(EpochMetrics::new(epoch + 1, elapsed, loss));
-            let model_done = {
-                let srv = lock_tolerant(&server);
-                sup.observe(epoch + 1, elapsed, loss, srv.model(), &trace, &mut rec)
-            };
-            if model_done {
-                break;
-            }
-        }
+        let mut step = Coordinator {
+            task,
+            batch,
+            server: &server,
+            worker_err: &worker_err,
+            shards: shards.len(),
+            seed: opts.seed,
+            max_secs: opts.max_secs,
+            eval: CpuExec::seq(),
+            model: w0,
+            order: Vec::new(),
+            start: None,
+        };
+        let report = id.run(&mut step, opts, &mut NullObserver);
         lock_tolerant(&server).initiate_shutdown();
         let _ = serve.join();
+        report
     });
+    Ok(report)
+}
 
-    let verdict = sup.finish();
-    Ok(RunReport {
-        label: format!("{} dist-{} x{} (wire)", task.name(), cfg.mode.label(), workers),
-        device: sgd_core::DeviceKind::CpuSeq,
-        step_size: alpha,
-        trace,
-        opt_seconds: elapsed,
-        timed_out: verdict.timed_out,
-        metrics: rec.finish(),
-        outcome: verdict.outcome,
-        best_model: verdict.best_model,
-    })
+/// The wire run's step: opens each epoch on the shared server and waits
+/// for the worker threads to drain it. The clock is wall seconds since
+/// the first epoch began.
+struct Coordinator<'a, T: Task> {
+    task: &'a T,
+    batch: &'a Batch<'a>,
+    server: &'a Mutex<ParamServer>,
+    worker_err: &'a Mutex<Option<String>>,
+    shards: usize,
+    seed: u64,
+    max_secs: f64,
+    eval: CpuExec,
+    /// The server's model as of the last completed epoch.
+    model: Vec<Scalar>,
+    order: Vec<usize>,
+    start: Option<Instant>,
+}
+
+impl<T: Task> EpochStep for Coordinator<'_, T> {
+    fn loss(&mut self) -> f64 {
+        self.task.loss(&mut self.eval, self.batch, &self.model)
+    }
+
+    fn epoch(&mut self, epoch: usize, _m: &mut EpochMetrics) -> Result<f64, Halt> {
+        let start = *self.start.get_or_insert_with(Instant::now);
+        epoch_order(self.shards, self.seed, epoch, &mut self.order);
+        lock_tolerant(self.server).begin_epoch(&self.order);
+        let mut dead_cluster = false;
+        loop {
+            if lock_tolerant(self.server).epoch_done() {
+                break;
+            }
+            // Two separate acquisitions: never hold the error slot while
+            // taking the server lock.
+            let errored = lock_tolerant(self.worker_err).is_some();
+            dead_cluster = errored && lock_tolerant(self.server).live_workers() == 0;
+            if dead_cluster || start.elapsed().as_secs_f64() > self.max_secs {
+                break;
+            }
+            std::thread::sleep(POLL);
+        }
+        let clock = start.elapsed().as_secs_f64();
+        let mut srv = lock_tolerant(self.server);
+        if srv.epoch_done() {
+            srv.flush_pending();
+            self.model.copy_from_slice(srv.model());
+            Ok(clock)
+        } else if dead_cluster {
+            // Every worker is gone with shards still pending.
+            Err(Halt::FaultAborted { clock })
+        } else {
+            Err(Halt::OutOfTime { clock })
+        }
+    }
+
+    fn model(&self) -> &[Scalar] {
+        &self.model
+    }
 }
 
 #[cfg(test)]
@@ -615,6 +627,24 @@ mod tests {
                 "wire and modeled single-worker losses must agree bitwise"
             );
         }
+    }
+
+    #[test]
+    fn running_out_of_time_mid_epoch_is_a_budget_exhaustion_on_both_transports() {
+        let (x, y) = fixture();
+        let batch = Batch::new(Examples::Dense(&x), &y);
+        let task = lr(5);
+        let cfg = DistConfig {
+            workers: 2,
+            shards: 4,
+            mode: ConsistencyMode::Sync { grads_to_wait: 2 },
+            ..Default::default()
+        };
+        let opts = RunOptions { max_epochs: 4, max_secs: 0.0, plateau: None, ..Default::default() };
+        let modeled = run_dist_modeled(&task, &batch, &cfg, 0.4, &opts);
+        let wire = run_dist_wire(&task, &batch, &cfg, 0.4, &opts).expect("loopback run");
+        assert_eq!(modeled.outcome, RunOutcome::BudgetExhausted);
+        assert_eq!(wire.outcome, RunOutcome::BudgetExhausted, "no fault was injected");
     }
 
     #[test]
