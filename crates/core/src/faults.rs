@@ -194,6 +194,15 @@ impl FaultPlan {
         self.stale_rate > 0.0 && self.u01(KIND_STALE, epoch, idx) < self.stale_rate
     }
 
+    /// Copies the model `w` into `epoch_start`, the target of this
+    /// epoch's stale reads, when the plan reads stale models at all.
+    pub(crate) fn keep_epoch_start(&self, epoch_start: &mut Vec<f64>, w: &[f64]) {
+        if self.stale_rate > 0.0 {
+            epoch_start.resize(w.len(), 0.0);
+            epoch_start.copy_from_slice(w);
+        }
+    }
+
     /// Multiplicative corruption factor for `(epoch, idx)`, if corrupted.
     pub fn corrupt_factor(&self, epoch: usize, idx: usize) -> Option<f64> {
         if self.corrupt_rate > 0.0 && self.u01(KIND_CORRUPT, epoch, idx) < self.corrupt_rate {

@@ -5,9 +5,8 @@
 //!   carry one row per traced epoch; corners that race real threads
 //!   (wall-clock Hogwild/Hogbatch/replicated with >1 worker) also trace at
 //!   least one epoch, and the GPU Hogwild corner counts update conflicts.
-//!   These are the eleven `*_matches_legacy*` tests: the `run_*` entry
-//!   points they compared the engine against are deleted, the test ids are
-//!   kept, and each asserts what it always asserted of the engine report.
+//!   One table of corners drives these checks; each row group keeps the
+//!   test name it has always run under.
 //! * Replay pins, bit for bit: an empty fault plan, the `Scalar` tier and
 //!   the dispatch mode change nothing on a deterministic corner, sync
 //!   training replays exactly on every device, and the two vector tiers
@@ -18,7 +17,7 @@ use sgd_study::core::{
     RunReport, Strategy, Timing,
 };
 use sgd_study::linalg::{CsrMatrix, Matrix};
-use sgd_study::models::{lr, Batch, Examples, MlpTask, Task};
+use sgd_study::models::{lr, Batch, Examples, MlpTask};
 
 fn dense() -> (Matrix, Vec<f64>) {
     let x = Matrix::from_fn(64, 6, |i, j| {
@@ -41,128 +40,138 @@ fn opts() -> RunOptions {
 }
 
 /// Bit-identical comparison for deterministic corners.
-fn assert_identical(engine: &RunReport, legacy: &RunReport) {
-    assert_eq!(engine.label, legacy.label);
-    assert_eq!(engine.device, legacy.device);
-    assert_eq!(engine.step_size, legacy.step_size);
-    assert_eq!(engine.trace.epochs(), legacy.trace.epochs());
-    for (e, l) in engine.trace.points().iter().zip(legacy.trace.points()) {
-        assert_eq!(e.1, l.1, "loss diverged: {} vs {}", e.1, l.1);
+fn assert_identical(a: &RunReport, b: &RunReport) {
+    assert_eq!(a.label, b.label);
+    assert_eq!(a.device, b.device);
+    assert_eq!(a.step_size, b.step_size);
+    assert_eq!(a.trace.epochs(), b.trace.epochs());
+    for (p, q) in a.trace.points().iter().zip(b.trace.points()) {
+        assert_eq!(p.1, q.1, "loss diverged: {} vs {}", p.1, q.1);
     }
-    assert_eq!(engine.metrics.epochs.len(), engine.trace.epochs());
-    assert_eq!(engine.outcome, legacy.outcome);
+    assert_eq!(a.metrics.epochs.len(), a.trace.epochs());
+    assert_eq!(a.outcome, b.outcome);
 }
 
-/// Runs one corner and checks what its report must say on its own.
-fn run_well_formed<T: Task>(
-    cfg: &Configuration,
-    task: &T,
-    batch: &Batch<'_>,
+/// Which fixture a corner trains on: an LR model on the dense or the
+/// sparse batch, or a 6-4-2 MLP on the dense one.
+#[derive(Clone, Copy)]
+enum Fixture {
+    DenseLr,
+    SparseLr,
+    DenseMlp,
+}
+
+/// One row of the corner table: a configuration, what it trains, and what
+/// its report must show beyond being well formed.
+struct Corner {
+    cfg: Configuration,
+    fixture: Fixture,
     alpha: f64,
-    o: &RunOptions,
-) -> RunReport {
-    let report = Engine::run(cfg, task, batch, alpha, o);
-    assert_eq!(report.device, cfg.device, "{}", report.label);
-    assert_eq!(report.step_size, alpha, "{}", report.label);
-    assert_eq!(report.metrics.epochs.len(), report.trace.epochs(), "{}", report.label);
-    report
+    threads: Option<usize>,
+    /// Races real threads: must still trace at least one epoch.
+    racing: bool,
+    /// Must report a run-level update-conflict count.
+    conflicts: bool,
 }
 
-#[test]
-fn sync_wall_matches_legacy_on_every_device() {
-    let (x, y) = dense();
-    let batch = Batch::new(Examples::Dense(&x), &y);
-    for device in [DeviceKind::CpuSeq, DeviceKind::CpuPar, DeviceKind::Gpu] {
-        let cfg = Configuration::new(device, Strategy::Sync);
-        run_well_formed(&cfg, &lr(6), &batch, 0.5, &opts());
+impl Corner {
+    fn wall(device: DeviceKind, strategy: Strategy, fixture: Fixture, alpha: f64) -> Self {
+        let cfg = Configuration::new(device, strategy);
+        Corner { cfg, fixture, alpha, threads: None, racing: false, conflicts: false }
     }
-}
 
-#[test]
-fn sync_modeled_matches_legacy() {
-    let (xs, y) = sparse();
-    let batch = Batch::new(Examples::Sparse(&xs), &y);
-    for threads in [1usize, 4] {
+    /// The corner on the paper's machine modeled at `threads` threads.
+    fn modeled(threads: usize, strategy: Strategy, fixture: Fixture, alpha: f64) -> Self {
         let mc = CpuModelConfig::paper_machine(threads);
-        let cfg = Configuration::new(mc.device(), Strategy::Sync).with_timing(Timing::Modeled(mc));
-        run_well_formed(&cfg, &lr(16), &batch, 0.5, &opts());
+        let cfg = Configuration::new(mc.device(), strategy).with_timing(Timing::Modeled(mc));
+        Corner { cfg, fixture, alpha, threads: None, racing: false, conflicts: false }
+    }
+
+    fn threads(self, threads: usize) -> Self {
+        Corner { threads: Some(threads), ..self }
+    }
+
+    fn racing(self, threads: usize) -> Self {
+        Corner { racing: true, ..self.threads(threads) }
+    }
+
+    /// Runs the corner: `device` and `step_size` echo the configuration,
+    /// the metrics carry one row per traced epoch, and the row's own
+    /// checks hold.
+    fn check(&self) {
+        let (x, y) = dense();
+        let (xs, ys) = sparse();
+        let o = RunOptions { threads: self.threads.unwrap_or(opts().threads), ..opts() };
+        let report = match self.fixture {
+            Fixture::DenseLr => {
+                Engine::run(&self.cfg, &lr(6), &Batch::new(Examples::Dense(&x), &y), self.alpha, &o)
+            }
+            Fixture::SparseLr => {
+                let batch = Batch::new(Examples::Sparse(&xs), &ys);
+                Engine::run(&self.cfg, &lr(16), &batch, self.alpha, &o)
+            }
+            Fixture::DenseMlp => {
+                let mlp = MlpTask::new(vec![6, 4, 2], 42);
+                Engine::run(&self.cfg, &mlp, &Batch::new(Examples::Dense(&x), &y), self.alpha, &o)
+            }
+        };
+        assert_eq!(report.device, self.cfg.device, "{}", report.label);
+        assert_eq!(report.step_size, self.alpha, "{}", report.label);
+        assert_eq!(report.metrics.epochs.len(), report.trace.epochs(), "{}", report.label);
+        if self.racing {
+            assert!(report.trace.epochs() > 0, "{}", report.label);
+        }
+        if self.conflicts {
+            assert!(report.update_conflicts().is_some(), "{}", report.label);
+        }
     }
 }
 
-#[test]
-fn hogwild_wall_single_thread_matches_legacy() {
-    let (xs, y) = sparse();
-    let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let o = RunOptions { threads: 1, ..opts() };
-    let cfg = Configuration::new(DeviceKind::CpuSeq, Strategy::Hogwild);
-    run_well_formed(&cfg, &lr(16), &batch, 0.2, &o);
+/// The corner table: each row group is one test, run under its name.
+macro_rules! corner_tests {
+    ($($name:ident => $corners:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            for corner in $corners {
+                corner.check();
+            }
+        }
+    )*};
 }
 
-#[test]
-fn hogwild_wall_multithread_matches_legacy_shape() {
-    let (xs, y) = sparse();
-    let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let o = RunOptions { threads: 4, ..opts() };
-    let cfg = Configuration::new(DeviceKind::CpuPar, Strategy::Hogwild);
-    let report = run_well_formed(&cfg, &lr(16), &batch, 0.2, &o);
-    assert!(report.trace.epochs() > 0);
+corner_tests! {
+    sync_wall_matches_legacy_on_every_device => [DeviceKind::CpuSeq, DeviceKind::CpuPar, DeviceKind::Gpu]
+        .map(|device| Corner::wall(device, Strategy::Sync, Fixture::DenseLr, 0.5));
+    sync_modeled_matches_legacy =>
+        [1, 4].map(|threads| Corner::modeled(threads, Strategy::Sync, Fixture::SparseLr, 0.5));
+    hogwild_wall_single_thread_matches_legacy =>
+        [Corner::wall(DeviceKind::CpuSeq, Strategy::Hogwild, Fixture::SparseLr, 0.2).threads(1)];
+    hogwild_wall_multithread_matches_legacy_shape =>
+        [Corner::wall(DeviceKind::CpuPar, Strategy::Hogwild, Fixture::SparseLr, 0.2).racing(4)];
+    hogwild_modeled_matches_legacy =>
+        [Corner::modeled(4, Strategy::Hogwild, Fixture::SparseLr, 0.2)];
+    gpu_hogwild_matches_legacy_including_conflicts => [Corner {
+        conflicts: true,
+        ..Corner::wall(DeviceKind::Gpu, Strategy::Hogwild, Fixture::SparseLr, 0.2)
+    }];
+    hogbatch_wall_single_thread_matches_legacy =>
+        [Corner::wall(DeviceKind::CpuSeq, hogbatch(), Fixture::DenseMlp, 0.5).threads(1)];
+    hogbatch_wall_multithread_matches_legacy_shape =>
+        [Corner::wall(DeviceKind::CpuPar, hogbatch(), Fixture::DenseLr, 0.2).racing(2)];
+    hogbatch_modeled_matches_legacy => [Corner::modeled(4, hogbatch(), Fixture::DenseLr, 0.2)];
+    gpu_hogbatch_matches_legacy =>
+        [Corner::wall(DeviceKind::Gpu, hogbatch(), Fixture::DenseMlp, 0.5)];
+    replicated_hogwild_matches_legacy_shape =>
+        [Replication::PerMachine, Replication::PerNode { nodes: 2 }, Replication::PerCore].map(
+            |replication| {
+                let strategy = Strategy::ReplicatedHogwild { replication };
+                Corner::wall(DeviceKind::CpuPar, strategy, Fixture::SparseLr, 0.2).racing(4)
+            },
+        );
 }
 
-#[test]
-fn hogwild_modeled_matches_legacy() {
-    let (xs, y) = sparse();
-    let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let mc = CpuModelConfig::paper_machine(4);
-    let cfg = Configuration::new(mc.device(), Strategy::Hogwild).with_timing(Timing::Modeled(mc));
-    run_well_formed(&cfg, &lr(16), &batch, 0.2, &opts());
-}
-
-#[test]
-fn gpu_hogwild_matches_legacy_including_conflicts() {
-    let (xs, y) = sparse();
-    let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogwild);
-    let report = run_well_formed(&cfg, &lr(16), &batch, 0.2, &opts());
-    assert!(report.update_conflicts().is_some());
-}
-
-#[test]
-fn hogbatch_wall_single_thread_matches_legacy() {
-    let (x, y) = dense();
-    let full = Batch::new(Examples::Dense(&x), &y);
-    let task = MlpTask::new(vec![6, 4, 2], 42);
-    let o = RunOptions { threads: 1, ..opts() };
-    let cfg = Configuration::new(DeviceKind::CpuSeq, Strategy::Hogbatch { batch_size: 16 });
-    run_well_formed(&cfg, &task, &full, 0.5, &o);
-}
-
-#[test]
-fn hogbatch_wall_multithread_matches_legacy_shape() {
-    let (x, y) = dense();
-    let full = Batch::new(Examples::Dense(&x), &y);
-    let o = RunOptions { threads: 2, ..opts() };
-    let cfg = Configuration::new(DeviceKind::CpuPar, Strategy::Hogbatch { batch_size: 16 });
-    let report = run_well_formed(&cfg, &lr(6), &full, 0.2, &o);
-    assert!(report.trace.epochs() > 0);
-}
-
-#[test]
-fn hogbatch_modeled_matches_legacy() {
-    let (x, y) = dense();
-    let full = Batch::new(Examples::Dense(&x), &y);
-    let mc = CpuModelConfig::paper_machine(4);
-    let cfg = Configuration::new(mc.device(), Strategy::Hogbatch { batch_size: 16 })
-        .with_timing(Timing::Modeled(mc));
-    run_well_formed(&cfg, &lr(6), &full, 0.2, &opts());
-}
-
-#[test]
-fn gpu_hogbatch_matches_legacy() {
-    let (x, y) = dense();
-    let full = Batch::new(Examples::Dense(&x), &y);
-    let task = MlpTask::new(vec![6, 4, 2], 42);
-    let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogbatch { batch_size: 16 });
-    run_well_formed(&cfg, &task, &full, 0.5, &opts());
+fn hogbatch() -> Strategy {
+    Strategy::Hogbatch { batch_size: 16 }
 }
 
 #[test]
@@ -216,21 +225,6 @@ fn empty_fault_plan_is_bit_identical_on_every_deterministic_corner() {
     check(&|ro| Engine::run(&cfg, &dtask, &full, 0.2, ro), true);
     let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogbatch { batch_size: 16 });
     check(&|ro| Engine::run(&cfg, &dtask, &full, 0.2, ro), true);
-}
-
-#[test]
-fn replicated_hogwild_matches_legacy_shape() {
-    let (xs, y) = sparse();
-    let batch = Batch::new(Examples::Sparse(&xs), &y);
-    let o = RunOptions { threads: 4, ..opts() };
-    for repl in [Replication::PerMachine, Replication::PerNode { nodes: 2 }, Replication::PerCore] {
-        let cfg = Configuration::new(
-            DeviceKind::CpuPar,
-            Strategy::ReplicatedHogwild { replication: repl },
-        );
-        let report = run_well_formed(&cfg, &lr(16), &batch, 0.2, &o);
-        assert!(report.trace.epochs() > 0);
-    }
 }
 
 #[test]
