@@ -16,7 +16,7 @@
 //! asynchronous runners only lose the straggler's share of aggregate
 //! throughput ([`FaultPlan::async_dilation`]); a dead worker stalls a
 //! synchronous barrier forever (the run aborts) but costs an asynchronous
-//! run only that worker's partition.
+//! run only that worker's partition, unless no worker survives it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,9 +58,9 @@ pub struct WorkerRejoin {
 /// A seeded, deterministic fault schedule carried on
 /// [`crate::RunOptions`] and injected by every runner.
 ///
-/// The default plan is empty: every runner takes its exact fault-free code
-/// path, so reports are bit-identical to runs without the robustness
-/// layer.
+/// The default plan is empty: it draws no decision and dilates every
+/// epoch by exactly `1.0`, so every runner's one fault-aware code path
+/// reports bit-identically to a run without the robustness layer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the per-event fault decisions (independent of the data
@@ -115,23 +115,14 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// `true` when the plan injects nothing: runners gate on this and take
-    /// their unmodified code path.
+    /// `true` when the plan injects nothing: it draws no decision and
+    /// dilates every epoch by exactly `1.0`.
     pub fn is_empty(&self) -> bool {
         self.stragglers.iter().all(|s| s.slowdown <= 1.0)
             && self.drop_rate <= 0.0
             && self.stale_rate <= 0.0
             && self.corrupt_rate <= 0.0
             && self.worker_death.is_none()
-    }
-
-    /// `Some(self)` when any fault is configured; the runners' gate.
-    pub(crate) fn active(&self) -> Option<&FaultPlan> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self)
-        }
     }
 
     /// Sets the decision seed.
@@ -235,9 +226,15 @@ impl FaultPlan {
         self.worker_death.is_some_and(|d| d.worker < workers && self.worker_dead(d.worker, epoch))
     }
 
+    /// `true` when no worker in `0..workers` survives `epoch`: an
+    /// asynchronous run has nobody left to make progress and aborts.
+    pub fn all_workers_dead(&self, workers: usize, epoch: usize) -> bool {
+        (0..workers.max(1)).all(|w| self.worker_dead(w, epoch))
+    }
+
     /// `true` when a synchronous barrier over `workers` participants can
     /// never complete `epoch` (a participant is dead). Asynchronous
-    /// runners use [`FaultPlan::has_dead_worker`] instead and keep going.
+    /// runners keep going while [`FaultPlan::all_workers_dead`] is false.
     pub fn barrier_stalled(&self, workers: usize, epoch: usize) -> bool {
         self.has_dead_worker(workers, epoch)
     }
@@ -353,12 +350,6 @@ pub(crate) struct SyncFaultDecision {
     pub dropped: bool,
 }
 
-impl SyncFaultDecision {
-    pub(crate) fn none() -> Self {
-        SyncFaultDecision { stale: false, alpha_factor: 1.0, dropped: false }
-    }
-}
-
 /// Draws the synchronous per-epoch fault decisions and tallies them.
 pub(crate) fn sync_epoch_faults(
     plan: &FaultPlan,
@@ -389,12 +380,31 @@ mod tests {
     fn default_plan_is_empty() {
         let p = FaultPlan::default();
         assert!(p.is_empty());
-        assert!(p.active().is_none());
         assert!(!p.drops_update(0, 0));
         assert!(!p.stale_read(3, 7));
         assert_eq!(p.corrupt_factor(1, 2), None);
-        assert_eq!(p.sync_dilation(8), 1.0);
-        assert_eq!(p.async_dilation(8), 1.0);
+        // The empty plan is the clean run: whatever the seed, it draws no
+        // decision and kills nobody...
+        let seeded = FaultPlan::default().with_seed(0xdead_beef);
+        for epoch in 0..16 {
+            for idx in 0..256 {
+                assert!(!seeded.drops_update(epoch, idx), "drop at ({epoch}, {idx})");
+                assert!(!seeded.stale_read(epoch, idx), "stale read at ({epoch}, {idx})");
+                assert_eq!(
+                    seeded.corrupt_factor(epoch, idx),
+                    None,
+                    "corruption at ({epoch}, {idx})"
+                );
+                assert!(!seeded.worker_dead(idx, epoch), "death at ({epoch}, {idx})");
+            }
+            assert!(!seeded.all_workers_dead(1, epoch));
+        }
+        // ...and its dilations are exactly 1, so `secs * dil` and
+        // `secs * (dil - 1.0)` leave every clock bit as it is.
+        for t in 1..=64 {
+            assert_eq!(seeded.sync_dilation(t).to_bits(), 1.0f64.to_bits(), "sync, t = {t}");
+            assert_eq!(seeded.async_dilation(t).to_bits(), 1.0f64.to_bits(), "async, t = {t}");
+        }
     }
 
     #[test]
@@ -468,6 +478,12 @@ mod tests {
         assert!(!p.worker_dead(1, 9));
         assert!(p.barrier_stalled(4, 5));
         assert!(!p.barrier_stalled(2, 5), "dead worker outside the barrier set");
+        // One death leaves survivors unless it was the only worker.
+        assert!(!p.all_workers_dead(4, 5));
+        let solo = FaultPlan::default().with_worker_death(0, 2);
+        assert!(!solo.all_workers_dead(1, 1));
+        assert!(solo.all_workers_dead(1, 2));
+        assert!(!solo.all_workers_dead(2, 2));
     }
 
     #[test]

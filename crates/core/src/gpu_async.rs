@@ -24,7 +24,7 @@ use sgd_linalg::{CpuExec, Exec, Scalar};
 use sgd_models::{Batch, Examples, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
-use crate::epoch_loop::{EpochLoop, ModelStep};
+use crate::epoch_loop::{EpochLoop, Halt, ModelStep};
 use crate::faults::{FaultCounters, FaultPlan};
 use crate::hogwild::shuffled_order;
 use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe};
@@ -53,12 +53,13 @@ impl Default for GpuAsyncOptions {
 const F64: u64 = std::mem::size_of::<Scalar>() as u64;
 const U32: u64 = std::mem::size_of::<u32>() as u64;
 
-/// Processes one warp of examples functionally, optionally reporting its
-/// memory/compute behaviour to a tracing context. `stale_from` redirects
-/// the phase-1 model reads to a stale snapshot (fault injection);
-/// `dropped` discards the warp's phase-2 store after the gradient work is
-/// done. Returns the number of updates lost to (or serialized by)
-/// intra-warp conflicts.
+/// Processes warp `wi` (the asynchronous worker id) of examples
+/// functionally, optionally reporting its memory/compute behaviour to a
+/// tracing context. The plan's per-warp decisions are drawn and tallied
+/// into `fc` first: a corrupted warp scales its step, a stale one reads
+/// the epoch-start model in phase 1, and a dropped one discards its
+/// phase-2 store after the gradient work is done. Returns the number of
+/// updates lost to (or serialized by) intra-warp conflicts.
 #[allow(clippy::too_many_arguments)]
 fn process_warp(
     loss: &dyn PointwiseLoss,
@@ -69,17 +70,27 @@ fn process_warp(
     atomic: bool,
     ctx: &mut Option<&mut WarpCtx<'_>>,
     addrs: TraceAddrs,
-    stale_from: Option<&[Scalar]>,
-    dropped: bool,
+    plan: &FaultPlan,
+    epoch: usize,
+    wi: usize,
+    epoch_start: &[Scalar],
+    fc: &mut FaultCounters,
 ) -> u64 {
+    let mut alpha = alpha;
+    if let Some(f) = plan.corrupt_factor(epoch, wi) {
+        alpha *= f;
+        fc.corrupted_updates += 1;
+    }
+    let stale = plan.stale_read(epoch, wi);
+    fc.stale_reads += u64::from(stale);
+    let dropped = plan.drops_update(epoch, wi);
+    fc.dropped_updates += u64::from(dropped);
+
     // Phase 1: lockstep gradient computation — every lane's margin is
     // computed against the model as it stood when the warp arrived (or a
     // stale snapshot of it, when the fault plan says so).
     let mut coeffs: Vec<Scalar> = Vec::with_capacity(lanes.len());
-    let rw: &[Scalar] = match stale_from {
-        Some(s) => s,
-        None => w,
-    };
+    let rw: &[Scalar] = if stale { epoch_start } else { w };
     match batch.x {
         Examples::Sparse(m) => {
             for &i in lanes {
@@ -159,42 +170,6 @@ fn process_warp(
         }
     }
     conflicts
-}
-
-/// Resolves the fault plan's per-warp decisions (the warp index is the
-/// async worker id), tallies them, and runs the warp with the resulting
-/// effects applied.
-#[allow(clippy::too_many_arguments)]
-fn process_faulty_warp(
-    loss: &dyn PointwiseLoss,
-    batch: &Batch<'_>,
-    w: &mut [Scalar],
-    alpha: f64,
-    lanes: &[u32],
-    atomic: bool,
-    ctx: &mut Option<&mut WarpCtx<'_>>,
-    addrs: TraceAddrs,
-    plan: &FaultPlan,
-    epoch: usize,
-    wi: usize,
-    epoch_start: &[Scalar],
-    fc: &mut FaultCounters,
-) -> u64 {
-    let mut a = alpha;
-    if let Some(f) = plan.corrupt_factor(epoch, wi) {
-        a *= f;
-        fc.corrupted_updates += 1;
-    }
-    let stale = plan.stale_read(epoch, wi);
-    if stale {
-        fc.stale_reads += 1;
-    }
-    let dropped = plan.drops_update(epoch, wi);
-    if dropped {
-        fc.dropped_updates += 1;
-    }
-    let stale_from = if stale { Some(epoch_start) } else { None };
-    process_warp(loss, batch, w, a, lanes, atomic, ctx, addrs, stale_from, dropped)
 }
 
 /// Simulated device addresses of the buffers a traced warp touches,
@@ -319,38 +294,32 @@ pub(crate) fn gpu_hogwild_observed<T: Task>(
     let warps: Vec<&[u32]> = order.chunks(dev.spec().warp_size).collect();
     let w0 = task.init_model();
     let addrs = TraceAddrs::resolve(&mut dev, batch, &w0);
-    let (faults, atomic) = (opts.faults.active(), gopts.atomic_updates);
+    let (plan, atomic) = (&opts.faults, gopts.atomic_updates);
     let (mut probe, mut warm_cost, mut epoch_start) = (GpuEpochProbe::new(), 0.0, Vec::new());
     let run = |w: &mut [Scalar], epoch, m: &mut EpochMetrics| {
+        if plan.all_workers_dead(warps.len(), epoch) {
+            return Err(Halt::FaultAborted { clock: dev.elapsed_secs() });
+        }
         probe.begin(&dev);
-        m.update_conflicts = match faults {
-            None => launch(&mut dev, &mut warm_cost, epoch, warps.len(), |wi, ctx| {
-                process_warp(loss_fn, batch, w, alpha, warps[wi], atomic, ctx, addrs, None, false)
-            }),
-            Some(plan) => {
-                // Dead warps are removed from the launch list (the device
-                // absorbs the loss of work), stale/corrupt/drop decisions
-                // hash on the warp index, and a straggler stretches the
-                // epoch by the harmonic dilation instead of stalling a
-                // barrier.
-                let epoch_t0 = dev.elapsed_secs();
-                plan.keep_epoch_start(&mut epoch_start, w);
-                let live: Vec<usize> =
-                    (0..warps.len()).filter(|&wi| !plan.worker_dead(wi, epoch)).collect();
-                let fc = &mut m.faults;
-                fc.dead_workers = (warps.len() - live.len()) as u64;
-                let snap = &epoch_start;
-                let conflicts = launch(&mut dev, &mut warm_cost, epoch, live.len(), |k, ctx| {
-                    let wi = live[k];
-                    process_faulty_warp(
-                        loss_fn, batch, w, alpha, warps[wi], atomic, ctx, addrs, plan, epoch, wi,
-                        snap, fc,
-                    )
-                });
-                dilate(&mut dev, plan, warps.len(), epoch_t0, &mut m.faults);
-                conflicts
-            }
-        };
+        // Dead warps are removed from the launch list (the device absorbs
+        // the loss of work, and the traced kernel is priced by the warps it
+        // launches), stale/corrupt/drop decisions hash on the warp index,
+        // and a straggler stretches the epoch by the harmonic dilation
+        // instead of stalling a barrier.
+        let epoch_t0 = dev.elapsed_secs();
+        plan.keep_epoch_start(&mut epoch_start, w);
+        let live: Vec<usize> =
+            (0..warps.len()).filter(|&wi| !plan.worker_dead(wi, epoch)).collect();
+        let fc = &mut m.faults;
+        fc.dead_workers = (warps.len() - live.len()) as u64;
+        let snap = &epoch_start;
+        m.update_conflicts = launch(&mut dev, &mut warm_cost, epoch, live.len(), |k, ctx| {
+            let wi = live[k];
+            process_warp(
+                loss_fn, batch, w, alpha, warps[wi], atomic, ctx, addrs, plan, epoch, wi, snap, fc,
+            )
+        });
+        dilate(&mut dev, plan, warps.len(), epoch_t0, &mut m.faults);
         (m.simulated_cycles, m.l2_hit_ratio) = probe.end(&dev);
         Ok(dev.elapsed_secs())
     };
@@ -422,14 +391,15 @@ pub(crate) fn gpu_hogbatch_observed<T: Task>(
     let (mut dev, mut probe, mut warm_cost) = (opts.gpu_device(), GpuEpochProbe::new(), 0.0);
     let (mut g, mut cpu, mut epoch_start) = (vec![0.0; task.dim()], CpuExec::seq(), Vec::new());
     // Host workers enqueueing batches round-robin (fault decisions only).
-    let (faults, workers) = (opts.faults.active(), opts.threads.max(1));
+    let (plan, workers) = (&opts.faults, opts.threads.max(1));
     let run = |w: &mut [Scalar], epoch, m: &mut EpochMetrics| {
+        if plan.all_workers_dead(workers, epoch) {
+            return Err(Halt::FaultAborted { clock: dev.elapsed_secs() });
+        }
         let traced = epoch == 0;
         probe.begin(&dev);
         let t0 = dev.elapsed_secs();
-        if let Some(plan) = faults {
-            plan.keep_epoch_start(&mut epoch_start, w);
-        }
+        plan.keep_epoch_start(&mut epoch_start, w);
         // One mini-batch: the gradient at `w` (or, when `stale`, at the
         // epoch-start model), then `w += step * g` unless the update is
         // dropped (`None`).
@@ -451,41 +421,34 @@ pub(crate) fn gpu_hogbatch_observed<T: Task>(
                 }
             }
         };
-        match faults {
-            None => batches.iter().for_each(|b| update(w, b, false, Some(-alpha))),
-            Some(plan) => {
-                // A dead worker's batches never launch, decisions hash on
-                // the batch index, a straggling enqueuer stretches the
-                // serialized stream by the harmonic dilation.
-                let fc = &mut m.faults;
-                if plan.has_dead_worker(workers, epoch) {
-                    fc.dead_workers = 1;
-                }
-                for (bi, b) in batches.iter().enumerate() {
-                    if plan.worker_dead(bi % workers, epoch) {
-                        continue;
-                    }
-                    let stale = plan.stale_read(epoch, bi);
-                    fc.stale_reads += u64::from(stale);
-                    let mut a = alpha;
-                    if let Some(f) = plan.corrupt_factor(epoch, bi) {
-                        a *= f;
-                        fc.corrupted_updates += 1;
-                    }
-                    let dropped = plan.drops_update(epoch, bi);
-                    fc.dropped_updates += u64::from(dropped);
-                    update(w, b, stale, (!dropped).then_some(-a));
-                }
+        // A dead worker's batches never launch, decisions hash on the batch
+        // index, a straggling enqueuer stretches the serialized stream by
+        // the harmonic dilation.
+        let fc = &mut m.faults;
+        if plan.has_dead_worker(workers, epoch) {
+            fc.dead_workers = 1;
+        }
+        for (bi, b) in batches.iter().enumerate() {
+            if plan.worker_dead(bi % workers, epoch) {
+                continue;
             }
+            let stale = plan.stale_read(epoch, bi);
+            fc.stale_reads += u64::from(stale);
+            let mut a = alpha;
+            if let Some(f) = plan.corrupt_factor(epoch, bi) {
+                a *= f;
+                fc.corrupted_updates += 1;
+            }
+            let dropped = plan.drops_update(epoch, bi);
+            fc.dropped_updates += u64::from(dropped);
+            update(w, b, stale, (!dropped).then_some(-a));
         }
         if traced {
             warm_cost = dev.elapsed_secs() - t0;
         } else {
             dev.advance_secs(warm_cost);
         }
-        if let Some(plan) = faults {
-            dilate(&mut dev, plan, workers, t0, &mut m.faults);
-        }
+        dilate(&mut dev, plan, workers, t0, &mut m.faults);
         (m.simulated_cycles, m.l2_hit_ratio) = probe.end(&dev);
         Ok(dev.elapsed_secs())
     };

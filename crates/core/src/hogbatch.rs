@@ -13,7 +13,7 @@ use sgd_linalg::{CpuExec, Scalar};
 use sgd_models::{Batch, Task};
 
 use crate::config::{DeviceKind, RunOptions};
-use crate::epoch_loop::{EpochLoop, ModelStep};
+use crate::epoch_loop::{EpochLoop, Halt, ModelStep};
 use crate::faults::FaultTally;
 use crate::metrics::{EpochMetrics, EpochObserver};
 use crate::report::RunReport;
@@ -59,90 +59,63 @@ pub(crate) fn hogbatch_observed<T: Task>(
     // Concurrent workers read round-stale snapshots; with one worker every
     // snapshot is fresh.
     let staleness_rounds = if threads > 1 { batches.len().div_ceil(threads) as u64 } else { 0 };
-    let (faults, tally, mut opt_seconds) = (opts.faults.active(), FaultTally::new(), 0.0);
-    // `snapshot` is the model at the last epoch boundary: loss,
-    // checkpoint and stale-read target.
+    let (plan, tally, mut opt_seconds) = (&opts.faults, FaultTally::new(), 0.0);
+    // `snapshot` is the model at the last epoch boundary (refreshed only
+    // after the epoch): loss, checkpoint and stale-read target.
     let run = |snapshot: &mut [Scalar], epoch, m: &mut EpochMetrics| {
+        if plan.all_workers_dead(threads, epoch) {
+            return Err(Halt::FaultAborted { clock: opt_seconds });
+        }
+        // Death decisions key on the worker index: dead workers are counted
+        // here, and their tasks return at once (their batches are skipped,
+        // the rest carry on).
+        m.faults.dead_workers = (0..threads).filter(|&t| plan.worker_dead(t, epoch)).count() as u64;
         let t0 = Instant::now();
-        match faults {
-            None => {
-                sgd_linalg::pool::run(threads, |t| {
-                    let mut e = CpuExec::seq();
-                    let mut w = vec![0.0; dim];
-                    let mut g = vec![0.0; dim];
-                    let mut b = t;
-                    while b < batches.len() {
-                        // Stale snapshot, gradient, lock-free scatter.
-                        model.snapshot_into(&mut w);
-                        task.gradient(&mut e, &batches[b], &w, &mut g);
-                        for (j, &gj) in g.iter().enumerate() {
-                            if gj != 0.0 {
-                                model.add(j, -alpha * gj);
-                            }
-                        }
-                        b += threads;
-                    }
-                });
+        let (epoch_start, tally) = (&*snapshot, &tally);
+        sgd_linalg::pool::run(threads, |t| {
+            if plan.worker_dead(t, epoch) {
+                return;
             }
-            Some(plan) => {
-                // `snapshot` still holds the epoch-start model (refreshed
-                // only after the epoch): the stale-read target. Death
-                // decisions key on the worker index, so they are taken
-                // here before dispatch; a dead worker's batches are
-                // skipped and the rest carry on.
-                let mut alive: Vec<usize> = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    if plan.worker_dead(t, epoch) {
-                        m.faults.dead_workers += 1;
-                    } else {
-                        alive.push(t);
+            let mut e = CpuExec::seq();
+            let mut w = vec![0.0; dim];
+            let mut g = vec![0.0; dim];
+            let (mut dropped, mut stale_n, mut corrupted) = (0u64, 0u64, 0u64);
+            let mut b = t;
+            while b < batches.len() {
+                // Racy snapshot (or the epoch-start model, on a stale
+                // read), gradient, lock-free scatter.
+                model.snapshot_into(&mut w);
+                let stale = plan.stale_read(epoch, b);
+                let read: &[Scalar] = if stale {
+                    stale_n += 1;
+                    epoch_start
+                } else {
+                    &w
+                };
+                task.gradient(&mut e, &batches[b], read, &mut g);
+                let mut a = alpha;
+                if let Some(f) = plan.corrupt_factor(epoch, b) {
+                    a *= f;
+                    corrupted += 1;
+                }
+                if plan.drops_update(epoch, b) {
+                    dropped += 1;
+                } else {
+                    for (j, &gj) in g.iter().enumerate() {
+                        if gj != 0.0 {
+                            model.add(j, -a * gj);
+                        }
                     }
                 }
-                let (snapshot, tally) = (&*snapshot, &tally);
-                sgd_linalg::pool::run(alive.len(), |i| {
-                    let t = alive[i];
-                    let mut e = CpuExec::seq();
-                    let mut w = vec![0.0; dim];
-                    let mut g = vec![0.0; dim];
-                    let (mut dropped, mut stale_n, mut corrupted) = (0u64, 0u64, 0u64);
-                    let mut b = t;
-                    while b < batches.len() {
-                        model.snapshot_into(&mut w);
-                        let stale = plan.stale_read(epoch, b);
-                        let read: &[Scalar] = if stale {
-                            stale_n += 1;
-                            snapshot
-                        } else {
-                            &w
-                        };
-                        task.gradient(&mut e, &batches[b], read, &mut g);
-                        let mut a = alpha;
-                        if let Some(f) = plan.corrupt_factor(epoch, b) {
-                            a *= f;
-                            corrupted += 1;
-                        }
-                        if plan.drops_update(epoch, b) {
-                            dropped += 1;
-                        } else {
-                            for (j, &gj) in g.iter().enumerate() {
-                                if gj != 0.0 {
-                                    model.add(j, -a * gj);
-                                }
-                            }
-                        }
-                        b += threads;
-                    }
-                    tally.add(dropped, stale_n, corrupted);
-                });
+                b += threads;
             }
-        }
+            tally.add(dropped, stale_n, corrupted);
+        });
         let mut epoch_secs = t0.elapsed().as_secs_f64();
-        if let Some(plan) = faults {
-            tally.drain_into(&mut m.faults);
-            let dil = plan.async_dilation(threads);
-            m.faults.straggler_delay_secs = epoch_secs * (dil - 1.0);
-            epoch_secs *= dil;
-        }
+        tally.drain_into(&mut m.faults);
+        let dil = plan.async_dilation(threads);
+        m.faults.straggler_delay_secs = epoch_secs * (dil - 1.0);
+        epoch_secs *= dil;
         opt_seconds += epoch_secs;
         model.snapshot_into(snapshot); // untimed
         m.staleness_rounds = staleness_rounds;

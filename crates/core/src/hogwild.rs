@@ -9,8 +9,10 @@
 //! lost updates erase the benefit of parallelism — the central asynchronous
 //! finding of the paper.
 //!
-//! This module holds the per-worker passes; the wall-clock run is the
-//! replicated step with one shared model (`crate::replication`).
+//! This module holds the per-worker pass, which injects the run's fault
+//! plan; the default (empty) plan draws no decision, so the same pass is
+//! the clean run. The wall-clock run is the replicated step with one
+//! shared model (`crate::replication`).
 
 use sgd_linalg::Scalar;
 use sgd_models::{Batch, Examples, PointwiseLoss};
@@ -28,60 +30,14 @@ pub(crate) fn shuffled_order(n: usize, seed: u64) -> Vec<u32> {
     order
 }
 
-/// One thread's pass over its partition of the examples.
-pub(crate) fn hogwild_worker<L: PointwiseLoss + ?Sized>(
-    loss: &L,
-    batch: &Batch<'_>,
-    model: &SharedModel,
-    alpha: f64,
-    part: &[u32],
-) {
-    match batch.x {
-        Examples::Sparse(m) => {
-            for &i in part {
-                let i = i as usize;
-                let row = m.row(i);
-                let mut margin = 0.0;
-                for (&c, &v) in row.cols.iter().zip(row.vals) {
-                    margin += v * model.read(c as usize);
-                }
-                let s = loss.dloss_at(margin, batch.y[i]);
-                if s != 0.0 {
-                    let step = -alpha * s;
-                    for (&c, &v) in row.cols.iter().zip(row.vals) {
-                        model.add(c as usize, step * v);
-                    }
-                }
-            }
-        }
-        Examples::Dense(m) => {
-            for &i in part {
-                let i = i as usize;
-                let row = m.row(i);
-                let mut margin = 0.0;
-                for (j, &v) in row.iter().enumerate() {
-                    margin += v * model.read(j);
-                }
-                let s = loss.dloss_at(margin, batch.y[i]);
-                if s != 0.0 {
-                    let step = -alpha * s;
-                    for (j, &v) in row.iter().enumerate() {
-                        if v != 0.0 {
-                            model.add(j, step * v);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`hogwild_worker`] with per-example fault injection: stale margins are
-/// computed against the epoch-start model, corrupted steps are scaled by
-/// the plan's noise factor, and dropped updates are computed but never
-/// written back (the Hogwild failure mode HOGWILD! claims to tolerate).
+/// One thread's pass over its partition of the examples, injecting the
+/// plan's per-example faults: stale margins are computed against the
+/// epoch-start model `stale_model`, corrupted steps are scaled by the
+/// plan's noise factor, and dropped updates are computed but never written
+/// back (the Hogwild failure mode HOGWILD! claims to tolerate). Corruption
+/// and drops are drawn only for rows with a nonzero step.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn hogwild_worker_faulty<L: PointwiseLoss + ?Sized>(
+pub(crate) fn hogwild_worker<L: PointwiseLoss + ?Sized>(
     loss: &L,
     batch: &Batch<'_>,
     model: &SharedModel,

@@ -84,12 +84,10 @@ pub(crate) fn sync_modeled_observed<T: Task>(
         let epoch_start = e.elapsed_secs();
         s.task.gradient(&mut e, batch, w, &mut s.g);
         s.update(&mut e, w, epoch, &mut m.faults);
-        if let Some(plan) = s.faults {
-            // The modeled barrier waits for the slowest straggler.
-            let dil = plan.sync_dilation(s.workers);
-            m.faults.straggler_delay_secs = (e.elapsed_secs() - epoch_start) * (dil - 1.0);
-            extra += m.faults.straggler_delay_secs;
-        }
+        // The modeled barrier waits for the slowest straggler.
+        let dil = s.faults.sync_dilation(s.workers);
+        m.faults.straggler_delay_secs = (e.elapsed_secs() - epoch_start) * (dil - 1.0);
+        extra += m.faults.straggler_delay_secs;
         Ok(e.elapsed_secs() + extra)
     };
     let id = EpochLoop {
@@ -103,70 +101,14 @@ pub(crate) fn sync_modeled_observed<T: Task>(
 /// One bounded-staleness epoch for a linear task: rounds of `round`
 /// examples read the pre-round model, updates apply additively at round
 /// end. `round == 1` is exactly sequential incremental SGD.
-pub(crate) fn staleness_epoch<L: PointwiseLoss + ?Sized>(
-    loss: &L,
-    batch: &Batch<'_>,
-    w: &mut [Scalar],
-    alpha: f64,
-    order: &[u32],
-    round: usize,
-) {
-    let round = round.max(1);
-    let mut pending: Vec<(u32, Scalar)> = Vec::with_capacity(round * 8);
-    for chunk in order.chunks(round) {
-        pending.clear();
-        for &i in chunk {
-            let i = i as usize;
-            match batch.x {
-                Examples::Sparse(m) => {
-                    let row = m.row(i);
-                    let margin: Scalar =
-                        row.cols.iter().zip(row.vals).map(|(&c, &v)| v * w[c as usize]).sum();
-                    let s = loss.dloss_at(margin, batch.y[i]);
-                    if s != 0.0 {
-                        let step = -alpha * s;
-                        if round == 1 {
-                            for (&c, &v) in row.cols.iter().zip(row.vals) {
-                                w[c as usize] += step * v;
-                            }
-                        } else {
-                            pending.extend(
-                                row.cols.iter().zip(row.vals).map(|(&c, &v)| (c, step * v)),
-                            );
-                        }
-                    }
-                }
-                Examples::Dense(m) => {
-                    let row = m.row(i);
-                    let margin: Scalar = row.iter().zip(w.iter()).map(|(&v, &wj)| v * wj).sum();
-                    let s = loss.dloss_at(margin, batch.y[i]);
-                    if s != 0.0 {
-                        let step = -alpha * s;
-                        if round == 1 {
-                            for (j, &v) in row.iter().enumerate() {
-                                w[j] += step * v;
-                            }
-                        } else {
-                            pending
-                                .extend(row.iter().enumerate().map(|(j, &v)| (j as u32, step * v)));
-                        }
-                    }
-                }
-            }
-        }
-        for &(c, d) in &pending {
-            w[c as usize] += d;
-        }
-    }
-}
-
-/// [`staleness_epoch`] with per-example fault injection. Each lane of a
-/// round is one modeled worker: a dead lane's examples are skipped, stale
-/// reads come from the epoch-start model, corrupted steps are scaled, and
-/// dropped updates never land. Decisions hash on the example index, so the
+///
+/// The plan's faults are injected per example. Each lane of a round is one
+/// modeled worker: a dead lane's examples are skipped, stale reads come
+/// from the epoch-start model, corrupted steps are scaled, and dropped
+/// updates never land. Decisions hash on the example index, so the
 /// schedule is independent of the round size.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn staleness_epoch_faulty<L: PointwiseLoss + ?Sized>(
+pub(crate) fn staleness_epoch<L: PointwiseLoss + ?Sized>(
     loss: &L,
     batch: &Batch<'_>,
     w: &mut [Scalar],
@@ -272,13 +214,10 @@ impl AsyncClock {
     /// Charges one epoch to the clock and its counters to `m`; independent
     /// modeled workers absorb a straggler (harmonic dilation over
     /// `workers`).
-    fn tick(&mut self, faults: Option<&FaultPlan>, workers: usize, m: &mut EpochMetrics) -> f64 {
-        let mut secs = self.epoch_secs;
-        if let Some(plan) = faults {
-            let dil = plan.async_dilation(workers);
-            m.faults.straggler_delay_secs = self.epoch_secs * (dil - 1.0);
-            secs = self.epoch_secs * dil;
-        }
+    fn tick(&mut self, plan: &FaultPlan, workers: usize, m: &mut EpochMetrics) -> f64 {
+        let dil = plan.async_dilation(workers);
+        m.faults.straggler_delay_secs = self.epoch_secs * (dil - 1.0);
+        let secs = self.epoch_secs * dil;
         m.staleness_rounds = self.staleness_rounds;
         m.coherency_conflicts = self.coherency_per_epoch;
         self.elapsed += secs;
@@ -307,32 +246,30 @@ pub(crate) fn hogwild_modeled_observed<T: Task>(
         coherency_per_epoch: n as f64 * avg_nnz * cost.conflict_rate(avg_nnz, dim),
         elapsed: 0.0,
     };
-    let (faults, threads) = (opts.faults.active(), mc.threads);
+    let (plan, threads) = (&opts.faults, mc.threads);
     let order = shuffled_order(n, opts.seed);
     let mut epoch_start: Vec<Scalar> = Vec::new();
     let run = |w: &mut [Scalar], epoch, m: &mut EpochMetrics| {
-        match faults {
-            None => staleness_epoch(loss_fn, batch, w, alpha, &order, threads),
-            Some(plan) => {
-                plan.keep_epoch_start(&mut epoch_start, w);
-                if plan.has_dead_worker(threads, epoch) {
-                    m.faults.dead_workers = 1;
-                }
-                staleness_epoch_faulty(
-                    loss_fn,
-                    batch,
-                    w,
-                    alpha,
-                    &order,
-                    threads,
-                    plan,
-                    epoch,
-                    &epoch_start,
-                    &mut m.faults,
-                );
-            }
+        if plan.all_workers_dead(threads, epoch) {
+            return Err(Halt::FaultAborted { clock: clock.elapsed });
         }
-        Ok(clock.tick(faults, threads, m))
+        plan.keep_epoch_start(&mut epoch_start, w);
+        if plan.has_dead_worker(threads, epoch) {
+            m.faults.dead_workers = 1;
+        }
+        staleness_epoch(
+            loss_fn,
+            batch,
+            w,
+            alpha,
+            &order,
+            threads,
+            plan,
+            epoch,
+            &epoch_start,
+            &mut m.faults,
+        );
+        Ok(clock.tick(plan, threads, m))
     };
     let id = EpochLoop {
         label: format!("{} async {} (modeled)", task.name(), mc.device().label()),
@@ -401,61 +338,49 @@ pub(crate) fn hogbatch_modeled_observed<T: Task>(
         coherency_per_epoch,
         elapsed: 0.0,
     };
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let (mut cpu, mut snapshot, mut epoch_start) = (CpuExec::seq(), vec![0.0; dim], Vec::new());
     let run = |w: &mut [Scalar], epoch, m: &mut EpochMetrics| {
-        match faults {
-            None => {
-                for group in batches.chunks(workers) {
-                    snapshot.copy_from_slice(w);
-                    for b in group {
-                        task.gradient(&mut cpu, b, &snapshot, &mut g);
-                        for (wj, &gj) in w.iter_mut().zip(&g) {
-                            *wj -= alpha * gj;
-                        }
-                    }
+        if plan.all_workers_dead(workers, epoch) {
+            return Err(Halt::FaultAborted { clock: clock.elapsed });
+        }
+        plan.keep_epoch_start(&mut epoch_start, w);
+        let fc = &mut m.faults;
+        if plan.has_dead_worker(workers, epoch) {
+            fc.dead_workers = 1;
+        }
+        // Lane index within a round = modeled worker id; fault decisions
+        // hash on the global batch index.
+        let mut idx = 0usize;
+        for group in batches.chunks(workers) {
+            snapshot.copy_from_slice(w);
+            for (lane, b) in group.iter().enumerate() {
+                let bi = idx;
+                idx += 1;
+                if plan.worker_dead(lane, epoch) {
+                    continue;
                 }
-            }
-            Some(plan) => {
-                plan.keep_epoch_start(&mut epoch_start, w);
-                let fc = &mut m.faults;
-                if plan.has_dead_worker(workers, epoch) {
-                    fc.dead_workers = 1;
+                let stale = plan.stale_read(epoch, bi);
+                if stale {
+                    fc.stale_reads += 1;
                 }
-                // Lane index within a round = modeled worker id; fault
-                // decisions hash on the global batch index.
-                let mut idx = 0usize;
-                for group in batches.chunks(workers) {
-                    snapshot.copy_from_slice(w);
-                    for (lane, b) in group.iter().enumerate() {
-                        let bi = idx;
-                        idx += 1;
-                        if plan.worker_dead(lane, epoch) {
-                            continue;
-                        }
-                        let stale = plan.stale_read(epoch, bi);
-                        if stale {
-                            fc.stale_reads += 1;
-                        }
-                        let read: &[Scalar] = if stale { &epoch_start } else { &snapshot };
-                        task.gradient(&mut cpu, b, read, &mut g);
-                        let mut a = alpha;
-                        if let Some(f) = plan.corrupt_factor(epoch, bi) {
-                            a *= f;
-                            fc.corrupted_updates += 1;
-                        }
-                        if plan.drops_update(epoch, bi) {
-                            fc.dropped_updates += 1;
-                            continue;
-                        }
-                        for (wj, &gj) in w.iter_mut().zip(&g) {
-                            *wj -= a * gj;
-                        }
-                    }
+                let read: &[Scalar] = if stale { &epoch_start } else { &snapshot };
+                task.gradient(&mut cpu, b, read, &mut g);
+                let mut a = alpha;
+                if let Some(f) = plan.corrupt_factor(epoch, bi) {
+                    a *= f;
+                    fc.corrupted_updates += 1;
+                }
+                if plan.drops_update(epoch, bi) {
+                    fc.dropped_updates += 1;
+                    continue;
+                }
+                for (wj, &gj) in w.iter_mut().zip(&g) {
+                    *wj -= a * gj;
                 }
             }
         }
-        Ok(clock.tick(faults, workers, m))
+        Ok(clock.tick(plan, workers, m))
     };
     let id = EpochLoop {
         label: format!("{} async {} (hogbatch, modeled)", task.name(), mc.device().label()),
@@ -556,7 +481,8 @@ mod tests {
         let task = lr(16);
         let order = crate::hogwild::shuffled_order(128, 1);
         let mut w1 = task.init_model();
-        staleness_epoch(task.pointwise(), &b, &mut w1, 0.3, &order, 1);
+        let (plan, mut fc) = (FaultPlan::default(), FaultCounters::default());
+        staleness_epoch(task.pointwise(), &b, &mut w1, 0.3, &order, 1, &plan, 0, &[], &mut fc);
         // Reference: plain incremental updates in the same order.
         let mut w2 = task.init_model();
         for &i in &order {

@@ -16,9 +16,9 @@ use sgd_linalg::{CpuExec, Scalar};
 use sgd_models::{Batch, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
-use crate::epoch_loop::{EpochLoop, ModelStep};
+use crate::epoch_loop::{EpochLoop, Halt, ModelStep};
 use crate::faults::FaultTally;
-use crate::hogwild::{hogwild_worker, hogwild_worker_faulty, shuffled_order};
+use crate::hogwild::{hogwild_worker, shuffled_order};
 use crate::metrics::{EpochMetrics, EpochObserver};
 use crate::modeled::batch_stats;
 use crate::report::RunReport;
@@ -101,38 +101,27 @@ pub(crate) fn replicated_observed<T: Task>(
     let staleness_rounds = if group > 1 { n.div_ceil(threads) as u64 } else { 0 };
     let coherency_per_epoch = n as f64 * avg_nnz * conflict_rate;
 
-    let (faults, tally) = (opts.faults.active(), FaultTally::new());
+    let (plan, tally) = (&opts.faults, FaultTally::new());
     let (mut buf, mut opt_seconds) = (vec![0.0; init.len()], 0.0);
     // `avg` is the epoch-start model: the replicas' average, or the single
     // replica's snapshot. Loss, checkpoint and stale-read target.
     let run = |avg: &mut [Scalar], epoch, m: &mut EpochMetrics| {
-        let t0 = Instant::now();
-        match faults {
-            None => run_workers(threads, parts.len(), |t| {
-                hogwild_worker(loss_fn, batch, &replicas[t % n_replicas], alpha, parts[t])
-            }),
-            Some(plan) => {
-                // Death decisions key on the partition index, so they are
-                // taken here before dispatch; dead workers' partitions are
-                // skipped (the survivors carry on, keeping their replica).
-                let mut alive: Vec<usize> = Vec::with_capacity(parts.len());
-                for t in 0..parts.len() {
-                    if plan.worker_dead(t, epoch) {
-                        m.faults.dead_workers += 1;
-                    } else {
-                        alive.push(t);
-                    }
-                }
-                let (stale, tally) = (&*avg, &tally);
-                run_workers(threads, alive.len(), |i| {
-                    let t = alive[i];
-                    let model = &replicas[t % n_replicas];
-                    hogwild_worker_faulty(
-                        loss_fn, batch, model, alpha, parts[t], plan, epoch, stale, tally,
-                    )
-                });
-            }
+        if plan.all_workers_dead(parts.len(), epoch) {
+            return Err(Halt::FaultAborted { clock: opt_seconds });
         }
+        // Death decisions key on the partition index: dead workers are
+        // counted here, and their tasks return at once (the survivors
+        // carry on, keeping their replica).
+        m.faults.dead_workers =
+            (0..parts.len()).filter(|&t| plan.worker_dead(t, epoch)).count() as u64;
+        let t0 = Instant::now();
+        let (stale, tally) = (&*avg, &tally);
+        run_workers(threads, parts.len(), |t| {
+            if !plan.worker_dead(t, epoch) {
+                let model = &replicas[t % n_replicas];
+                hogwild_worker(loss_fn, batch, model, alpha, parts[t], plan, epoch, stale, tally);
+            }
+        });
         if n_replicas > 1 {
             // Epoch-boundary averaging (counted in optimization time: it
             // is part of the algorithm, unlike loss evaluation).
@@ -142,14 +131,12 @@ pub(crate) fn replicated_observed<T: Task>(
             }
         }
         let mut epoch_secs = t0.elapsed().as_secs_f64();
-        if let Some(plan) = faults {
-            tally.drain_into(&mut m.faults);
-            // Independent workers absorb a straggler: only its throughput
-            // share is lost, never the whole barrier.
-            let dil = plan.async_dilation(threads);
-            m.faults.straggler_delay_secs = epoch_secs * (dil - 1.0);
-            epoch_secs *= dil;
-        }
+        tally.drain_into(&mut m.faults);
+        // Independent workers absorb a straggler: only its throughput share
+        // is lost, never the whole barrier.
+        let dil = plan.async_dilation(threads);
+        m.faults.straggler_delay_secs = epoch_secs * (dil - 1.0);
+        epoch_secs *= dil;
         opt_seconds += epoch_secs;
         if n_replicas == 1 {
             replicas[0].snapshot_into(avg); // untimed

@@ -13,7 +13,7 @@ use sgd_models::{Batch, Task};
 use crate::backend::{BackendSession, ComputeBackend, ExecTask};
 use crate::config::{DeviceKind, RunOptions};
 use crate::epoch_loop::{EpochLoop, EpochStep, Halt, ModelStep};
-use crate::faults::{sync_epoch_faults, FaultCounters, FaultPlan, SyncFaultDecision};
+use crate::faults::{sync_epoch_faults, FaultCounters, FaultPlan};
 use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe};
 use crate::report::RunReport;
 
@@ -64,14 +64,11 @@ pub(crate) fn sync_observed<T: Task>(
                     s.update(&mut host, w, epoch, &mut m.faults);
                     dev.advance_secs(warm_epoch_cost);
                 }
-                if let Some(plan) = s.faults {
-                    // The device stream stalls until the slowest
-                    // participant of the synchronous step has finished.
-                    let dil = plan.sync_dilation(s.workers);
-                    m.faults.straggler_delay_secs =
-                        (dev.elapsed_secs() - epoch_start) * (dil - 1.0);
-                    dev.advance_secs(m.faults.straggler_delay_secs);
-                }
+                // The device stream stalls until the slowest participant of
+                // the synchronous step has finished.
+                let dil = s.faults.sync_dilation(s.workers);
+                m.faults.straggler_delay_secs = (dev.elapsed_secs() - epoch_start) * (dil - 1.0);
+                dev.advance_secs(m.faults.straggler_delay_secs);
                 (m.simulated_cycles, m.l2_hit_ratio) = probe.end(&dev);
                 Ok(dev.elapsed_secs())
             };
@@ -106,7 +103,7 @@ pub(crate) struct SyncState<'a, T: Task> {
     pub(crate) task: &'a T,
     pub(crate) batch: &'a Batch<'a>,
     pub(crate) alpha: f64,
-    pub(crate) faults: Option<&'a FaultPlan>,
+    pub(crate) faults: &'a FaultPlan,
     /// Participants of the barrier (dead or straggling workers stall it).
     pub(crate) workers: usize,
     pub(crate) g: Vec<Scalar>,
@@ -125,7 +122,7 @@ impl<'a, T: Task> SyncState<'a, T> {
             task,
             batch,
             alpha,
-            faults: opts.faults.active(),
+            faults: &opts.faults,
             workers: workers.max(1),
             g: vec![0.0; task.dim()],
             prev_g: vec![0.0; task.dim()],
@@ -141,10 +138,7 @@ impl<'a, T: Task> SyncState<'a, T> {
         epoch: usize,
         fc: &mut FaultCounters,
     ) {
-        let d = match self.faults {
-            Some(plan) => sync_epoch_faults(plan, epoch, fc),
-            None => SyncFaultDecision::none(),
-        };
+        let d = sync_epoch_faults(self.faults, epoch, fc);
         if !d.dropped {
             let step = if d.stale { &self.prev_g } else { &self.g };
             e.axpy(-self.alpha * d.alpha_factor, step, w);
@@ -157,7 +151,7 @@ impl<'a, T: Task> SyncState<'a, T> {
     /// `true` when a dead worker never reaches this epoch's barrier: the
     /// epoch can never complete.
     pub(crate) fn barrier_stalled(&self, epoch: usize) -> bool {
-        self.faults.is_some_and(|plan| plan.barrier_stalled(self.workers, epoch))
+        self.faults.barrier_stalled(self.workers, epoch)
     }
 }
 
@@ -237,12 +231,10 @@ impl<T: Task> EpochStep for CpuSyncStep<'_, T> {
         let (w, fwd, fc) = (&mut self.w[..], &mut self.fwd, &mut m.faults);
         let mut job = SyncEpochJob { sync: s, epoch, w, fwd, fc };
         let mut epoch_secs = self.backend.dispatch(&mut self.sess, &mut job).wall_secs;
-        if let Some(plan) = s.faults {
-            // The barrier waits for the slowest straggler.
-            let dil = plan.sync_dilation(s.workers);
-            m.faults.straggler_delay_secs = epoch_secs * (dil - 1.0);
-            epoch_secs *= dil;
-        }
+        // The barrier waits for the slowest straggler.
+        let dil = s.faults.sync_dilation(s.workers);
+        m.faults.straggler_delay_secs = epoch_secs * (dil - 1.0);
+        epoch_secs *= dil;
         self.opt_seconds += epoch_secs;
         Ok(self.opt_seconds)
     }

@@ -130,7 +130,7 @@ struct Sim<'a, T: Task> {
     shards: &'a [Shard],
     /// Modeled healthy compute seconds per shard.
     costs: &'a [f64],
-    plan: Option<&'a FaultPlan>,
+    plan: &'a FaultPlan,
     net_rtt_secs: f64,
     server: ParamServer,
     workers: Vec<WorkerSim>,
@@ -156,7 +156,7 @@ impl<T: Task> Sim<'_, T> {
         }
         let mut job = GradJob::new(self.task, &self.shards[shard], &ws.w, &mut ws.g);
         ComputeBackend::CpuSeq.dispatch(&mut self.session, &mut job);
-        let slowdown = self.plan.map_or(1.0, |p| p.slowdown_of(wk));
+        let slowdown = self.plan.slowdown_of(wk);
         let cost = self.costs[shard] * slowdown;
         fc.straggler_delay_secs += self.costs[shard] * (slowdown - 1.0);
         self.seq += 1;
@@ -220,7 +220,7 @@ pub fn run_dist_modeled<T: Task>(
         task,
         shards: &shards,
         costs: &costs,
-        plan: if opts.faults.is_empty() { None } else { Some(&opts.faults) },
+        plan: &opts.faults,
         net_rtt_secs: cfg.net_rtt_secs,
         server: ParamServer::new(w0.clone(), alpha, cfg.mode, shards.len()),
         workers: (0..workers)
@@ -285,7 +285,7 @@ impl<T: Task> EpochStep for ClusterStep<'_, T> {
         // bootstrap and rejoins share this path); a member whose death
         // epoch arrived dies at its first event below.
         for (wk, dying_slot) in dying.iter_mut().enumerate() {
-            let dead = sim.plan.is_some_and(|p| p.worker_dead(wk, epoch));
+            let dead = sim.plan.worker_dead(wk, epoch);
             *dying_slot = sim.workers[wk].alive && dead;
             if !sim.workers[wk].alive && !dead {
                 let (version, model) = sim.server.join(wk);

@@ -16,6 +16,7 @@ use sgd_study::core::{
     Configuration, CpuModelConfig, DeviceKind, Engine, FaultPlan, Replication, RunOptions,
     RunReport, Strategy, Timing,
 };
+use sgd_study::dist::{run_dist_modeled, ConsistencyMode, DistConfig};
 use sgd_study::linalg::{CsrMatrix, Matrix};
 use sgd_study::models::{lr, Batch, Examples, MlpTask};
 
@@ -176,10 +177,11 @@ fn hogbatch() -> Strategy {
 
 #[test]
 fn empty_fault_plan_is_bit_identical_on_every_deterministic_corner() {
-    // A plan that configures nothing harmful — even with a custom seed
-    // and a 1.0x "straggler" — must route every runner through its
-    // unmodified code path: times, losses, and outcomes bit-identical to
-    // a run with default options.
+    // Every runner has one fault-aware code path, and the default plan is
+    // its clean run. A seeded plan whose only entry is a 1.0x straggler
+    // draws no decision and dilates by exactly 1, so it must change no
+    // bit: losses and outcomes (and, where the clock is deterministic,
+    // times) are identical to a run with default options.
     let noop = FaultPlan::default().with_seed(1234).with_straggler(0, 1.0);
     assert!(noop.is_empty());
     let o = opts();
@@ -216,10 +218,22 @@ fn empty_fault_plan_is_bit_identical_on_every_deterministic_corner() {
     }
     let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogwild);
     check(&|ro| Engine::run(&cfg, &task, &batch, 0.2, ro), true);
+    let cfg = Configuration::new(DeviceKind::CpuSeq, Strategy::Hogwild);
+    check(&|ro| Engine::run(&cfg, &task, &batch, 0.2, ro), false);
+    // Private replicas race no writes: two threads still replay the losses.
+    let replication = Replication::PerCore;
+    let cfg = Configuration::new(DeviceKind::CpuPar, Strategy::ReplicatedHogwild { replication });
+    let two = |ro: &RunOptions| RunOptions { threads: 2, ..ro.clone() };
+    check(&|ro| Engine::run(&cfg, &task, &batch, 0.2, &two(ro)), false);
+    let mode = ConsistencyMode::Sync { grads_to_wait: 2 };
+    let dist = DistConfig { workers: 2, mode, ..Default::default() };
+    check(&|ro| run_dist_modeled(&task, &batch, &dist, 0.2, ro), true);
 
     let (x, yd) = dense();
     let full = Batch::new(Examples::Dense(&x), &yd);
     let dtask = lr(6);
+    let cfg = Configuration::new(DeviceKind::CpuSeq, Strategy::Hogbatch { batch_size: 16 });
+    check(&|ro| Engine::run(&cfg, &dtask, &full, 0.2, ro), false);
     let cfg = Configuration::new(mc.device(), Strategy::Hogbatch { batch_size: 16 })
         .with_timing(Timing::Modeled(mc.clone()));
     check(&|ro| Engine::run(&cfg, &dtask, &full, 0.2, ro), true);

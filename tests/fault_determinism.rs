@@ -4,17 +4,21 @@
 //! a fault sweep would not be an experiment, it would be weather.
 
 use sgd_study::core::{
-    Configuration, CpuModelConfig, DeviceKind, Engine, FaultPlan, RunOptions, RunReport, Strategy,
-    Timing,
+    Configuration, CpuModelConfig, DeviceKind, Engine, FaultPlan, RunOptions, RunOutcome,
+    RunReport, Strategy, Timing,
 };
 use sgd_study::linalg::{CsrMatrix, Matrix};
 use sgd_study::models::{lr, Batch, Examples};
 
 fn sparse() -> (CsrMatrix, Vec<f64>) {
+    sparse_rows(64)
+}
+
+fn sparse_rows(n: usize) -> (CsrMatrix, Vec<f64>) {
     let entries: Vec<Vec<(u32, f64)>> =
-        (0..64).map(|i| vec![((i % 16) as u32, if i % 2 == 0 { 1.0 } else { -1.0 })]).collect();
-    let y = (0..64).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-    (CsrMatrix::from_row_entries(64, 16, &entries), y)
+        (0..n).map(|i| vec![((i % 16) as u32, if i % 2 == 0 { 1.0 } else { -1.0 })]).collect();
+    let y = (0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+    (CsrMatrix::from_row_entries(n, 16, &entries), y)
 }
 
 fn dense() -> (Matrix, Vec<f64>) {
@@ -157,4 +161,41 @@ fn different_fault_seeds_change_the_run() {
             || fa.corrupted_updates != fb.corrupted_updates,
         "different seeds must draw different fault decisions"
     );
+}
+
+#[test]
+fn an_async_run_with_no_surviving_worker_aborts_like_the_cluster() {
+    // The only worker dies at epoch 2. Like a stalled sync barrier and
+    // like `run_dist_modeled` with no survivor, every asynchronous corner
+    // must abort there instead of charging epochs that do no work.
+    let o = RunOptions {
+        max_epochs: 20,
+        threads: 1,
+        plateau: None,
+        faults: FaultPlan::default().with_worker_death(0, 2),
+        ..Default::default()
+    };
+    let mc = CpuModelConfig::paper_machine(1);
+    let modeled = |s| Configuration::new(mc.device(), s).with_timing(Timing::Modeled(mc.clone()));
+    let hogbatch = || Strategy::Hogbatch { batch_size: 16 };
+    let (xs, ys) = sparse();
+    let (x32, y32) = sparse_rows(32); // one 32-lane warp: one GPU worker
+    let (x, y) = dense();
+    let sparse_batch = Batch::new(Examples::Sparse(&xs), &ys);
+    let one_warp = Batch::new(Examples::Sparse(&x32), &y32);
+    let dense_batch = Batch::new(Examples::Dense(&x), &y);
+    let corners = [
+        (Configuration::new(DeviceKind::CpuSeq, Strategy::Hogwild), &sparse_batch, lr(16)),
+        (Configuration::new(DeviceKind::CpuSeq, hogbatch()), &dense_batch, lr(6)),
+        (modeled(Strategy::Hogwild), &sparse_batch, lr(16)),
+        (modeled(hogbatch()), &dense_batch, lr(6)),
+        (Configuration::new(DeviceKind::Gpu, hogbatch()), &dense_batch, lr(6)),
+        (Configuration::new(DeviceKind::Gpu, Strategy::Hogwild), &one_warp, lr(16)),
+    ];
+    for (cfg, batch, task) in &corners {
+        let rep = Engine::run(cfg, task, batch, 0.2, &o);
+        assert_eq!(rep.outcome, RunOutcome::FaultAborted { epoch: 3 }, "{}", rep.label);
+        assert_eq!(rep.trace.epochs(), 2, "{}: epochs 0 and 1 ran before the death", rep.label);
+        assert_eq!(rep.opt_seconds, rep.trace.points()[2].0, "{}: the clock stops", rep.label);
+    }
 }
