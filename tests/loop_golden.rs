@@ -11,6 +11,10 @@
 //! The wall corners run where no two threads share a model: one-thread
 //! Hogwild and Hogbatch, and `PerCore` / `PerNode { nodes: 2 }` at two
 //! threads, where each thread owns its replica.
+//!
+//! `golden/comparator_golden.txt` pins the framework comparators the same
+//! way: BIDMach LR (sparse) and SVM (dense) and TensorFlow MLP 6-4-2
+//! (dense), each on modeled 1 and 4 threads, GPU-sim and cpu-seq.
 
 use std::fmt::Write as _;
 
@@ -19,10 +23,12 @@ use sgd_study::core::{
     RunOutcome, RunReport, Strategy, Timing,
 };
 use sgd_study::dist::{run_dist_modeled, ConsistencyMode, DistConfig, StalePolicy};
+use sgd_study::frameworks::{run_bidmach, run_tensorflow};
 use sgd_study::linalg::{CsrMatrix, Matrix};
-use sgd_study::models::{lr, Batch, Examples, MlpTask, Task};
+use sgd_study::models::{lr, svm, Batch, Examples, MlpTask, Task};
 
 const GOLDEN: &str = include_str!("golden/loop_golden.txt");
+const COMPARATOR_GOLDEN: &str = include_str!("golden/comparator_golden.txt");
 
 fn sparse() -> (CsrMatrix, Vec<f64>) {
     let entries: Vec<Vec<(u32, f64)>> =
@@ -192,5 +198,45 @@ fn every_loop_driven_corner_is_pinned_bit_for_bit() {
     if got != GOLDEN {
         eprintln!("--- actual ---\n{got}--- end ---");
         panic!("a loop-driven corner moved a bit (actual printed above)");
+    }
+}
+
+/// The comparators' corners, each with whether its clock is simulated or
+/// modeled.
+fn comparator_corners() -> Vec<(Configuration, bool)> {
+    let mut corners: Vec<(Configuration, bool)> = [1usize, 4]
+        .into_iter()
+        .map(|threads| {
+            let mc = CpuModelConfig::paper_machine(threads);
+            let cfg = Configuration::new(mc.device(), Strategy::Sync);
+            (cfg.with_timing(Timing::Modeled(mc)), true)
+        })
+        .collect();
+    corners.push((Configuration::new(DeviceKind::Gpu, Strategy::Sync), true));
+    corners.push((Configuration::new(DeviceKind::CpuSeq, Strategy::Sync), false));
+    corners
+}
+
+fn comparator_actual() -> String {
+    let (xs, ys) = sparse();
+    let (xd, yd) = dense();
+    let sparse = Batch::new(Examples::Sparse(&xs), &ys);
+    let dense = Batch::new(Examples::Dense(&xd), &yd);
+    let o = opts(1, FaultPlan::default());
+    let mut out = String::new();
+    for (cfg, clocked) in comparator_corners() {
+        pin(&mut out, &run_bidmach(&cfg, &lr(16), &sparse, 0.5, &o), false, clocked);
+        pin(&mut out, &run_bidmach(&cfg, &svm(6), &dense, 0.5, &o), false, clocked);
+        pin(&mut out, &run_tensorflow(&cfg, &[6, 4, 2], &xd, &yd, 0.5, &o), false, clocked);
+    }
+    out
+}
+
+#[test]
+fn every_comparator_corner_is_pinned_bit_for_bit() {
+    let got = comparator_actual();
+    if got != COMPARATOR_GOLDEN {
+        eprintln!("--- actual ---\n{got}--- end ---");
+        panic!("a comparator corner moved a bit (actual printed above)");
     }
 }
