@@ -8,22 +8,20 @@
 //! the paper's own implementation achieves an equal or better GPU speedup
 //! (Fig. 8). Dense data behaves identically to ours.
 
-use std::time::Instant;
-
-use sgd_core::{
-    Configuration, DeviceKind, EpochMetrics, LossTrace, RunMetrics, RunOptions, RunOutcome,
-    RunReport, Strategy, Timing,
-};
-use sgd_gpusim::kernels::GpuExec;
-use sgd_linalg::CpuExec;
+use sgd_core::{Configuration, RunOptions, RunReport, Strategy};
+use sgd_linalg::{Exec, Scalar};
 use sgd_models::{Batch, LinearLoss, LinearTask, Task};
+
+use crate::step::{self, SyncUpdate};
 
 /// Runs the BIDMach comparator for one engine [`Configuration`] corner.
 ///
 /// BIDMach's driver in the paper's experiments runs synchronous
 /// (full-batch) GD only, so the configuration's strategy must be
 /// [`Strategy::Sync`]; the timing source and device follow the
-/// configuration like [`sgd_core::Engine::run`].
+/// configuration like [`sgd_core::Engine::run`]. It runs on the engine's
+/// epoch loop: the same sentinel, plateau stop and best model. It ignores
+/// `opts.faults`.
 pub fn run_bidmach<L: LinearLoss>(
     cfg: &Configuration,
     task: &LinearTask<L>,
@@ -35,207 +33,43 @@ pub fn run_bidmach<L: LinearLoss>(
         matches!(cfg.strategy, Strategy::Sync),
         "the BIDMach comparator implements synchronous GD only"
     );
-    match &cfg.timing {
-        Timing::Wall => sync_wall(task, batch, cfg.device, alpha, opts),
-        Timing::Modeled(mc) => {
-            assert_ne!(cfg.device, DeviceKind::Gpu, "modeled timing covers CPU devices");
-            sync_modeled(task, batch, mc, alpha, opts)
-        }
-    }
+    let update = Gd { task, batch, w: task.init_model(), g: vec![0.0; task.dim()] };
+    step::run(cfg, &format!("BIDMach {}", task.name()), update, alpha, opts)
 }
 
-/// Runs BIDMach-style synchronous (full-batch) GD for a linear task.
-fn sync_wall<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    device: DeviceKind,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    let label = format!("BIDMach {} sync {}", task.name(), device.label());
-    match device {
-        DeviceKind::CpuSeq => cpu_loop(task, batch, CpuExec::seq(), device, alpha, opts, label),
-        DeviceKind::CpuPar => sgd_linalg::pool::with_threads(opts.threads, || {
-            cpu_loop(task, batch, CpuExec::par(), device, alpha, opts, label)
-        }),
-        DeviceKind::Gpu => gpu_loop(task, batch, alpha, opts, label),
-    }
+/// Gradient descent on a linear task with BIDMach's kernels.
+struct Gd<'a, L: LinearLoss> {
+    task: &'a LinearTask<L>,
+    batch: &'a Batch<'a>,
+    w: Vec<Scalar>,
+    g: Vec<Scalar>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cpu_loop<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    mut e: CpuExec,
-    device: DeviceKind,
-    alpha: f64,
-    opts: &RunOptions,
-    label: String,
-) -> RunReport {
-    let mut w = task.init_model();
-    let mut g = vec![0.0; task.dim()];
-    let mut trace = LossTrace::new();
-    trace.push(0.0, task.loss(&mut e, batch, &w));
-    let stop = opts.stop_loss();
-    let mut opt_seconds = 0.0;
-    let mut timed_out = stop.is_some();
-    let mut diverged_at = None;
-    let mut metrics = RunMetrics::default();
-    for epoch in 0..opts.max_epochs {
-        let t0 = Instant::now();
-        task.gradient(&mut e, batch, &w, &mut g);
-        sgd_linalg::Exec::axpy(&mut e, -alpha, &g, &mut w);
-        opt_seconds += t0.elapsed().as_secs_f64();
-        let loss = task.loss(&mut e, batch, &w);
-        trace.push(opt_seconds, loss);
-        metrics.epochs.push(EpochMetrics::new(epoch + 1, opt_seconds, loss));
-        if !loss.is_finite() {
-            diverged_at = Some(epoch + 1);
-            break;
-        }
-        if stop.is_some_and(|s| loss <= s) {
-            timed_out = false;
-            break;
-        }
-        if opt_seconds > opts.max_secs {
-            break;
-        }
-    }
-    let outcome = RunOutcome::classify(diverged_at, stop.is_some() && !timed_out);
-    RunReport {
-        label,
-        device,
-        step_size: alpha,
-        trace,
-        opt_seconds,
-        timed_out,
-        metrics,
-        outcome,
-        best_model: None,
-    }
-}
+impl<L: LinearLoss> SyncUpdate for Gd<'_, L> {
+    // Dense-optimized kernels: sparse ops take the naive thread-per-row
+    // layout.
+    const THREAD_PER_ROW: bool = true;
+    const LAUNCH_SECS: f64 = 0.0;
+    const PARALLEL_EVERY_GEMM: bool = false;
 
-fn gpu_loop<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    alpha: f64,
-    opts: &RunOptions,
-    label: String,
-) -> RunReport {
-    let mut dev = opts.gpu_device();
-    let mut eval = CpuExec::seq();
-    let mut w = task.init_model();
-    let mut g = vec![0.0; task.dim()];
-    let mut trace = LossTrace::new();
-    trace.push(0.0, task.loss(&mut eval, batch, &w));
-    let stop = opts.stop_loss();
-    let mut warm_cost = 0.0;
-    let mut timed_out = stop.is_some();
-    let mut diverged_at = None;
-    let mut metrics = RunMetrics::default();
-    for epoch in 0..opts.max_epochs {
-        let cycles0 = dev.elapsed_cycles();
-        if epoch < 2 {
-            let t0 = dev.elapsed_secs();
-            // Dense-optimized kernels: sparse ops take the naive
-            // thread-per-row layout.
-            let mut e = GpuExec { dev: &mut dev, thread_per_row: true };
-            task.gradient(&mut e, batch, &w, &mut g);
-            sgd_linalg::Exec::axpy(&mut e, -alpha, &g, &mut w);
-            warm_cost = dev.elapsed_secs() - t0;
-        } else {
-            task.gradient(&mut eval, batch, &w, &mut g);
-            sgd_linalg::Exec::axpy(&mut eval, -alpha, &g, &mut w);
-            dev.advance_secs(warm_cost);
-        }
-        let loss = task.loss(&mut eval, batch, &w);
-        trace.push(dev.elapsed_secs(), loss);
-        metrics.epochs.push(EpochMetrics {
-            simulated_cycles: dev.elapsed_cycles() - cycles0,
-            ..EpochMetrics::new(epoch + 1, dev.elapsed_secs(), loss)
-        });
-        if !loss.is_finite() {
-            diverged_at = Some(epoch + 1);
-            break;
-        }
-        if stop.is_some_and(|s| loss <= s) {
-            timed_out = false;
-            break;
-        }
-        if dev.elapsed_secs() > opts.max_secs {
-            break;
-        }
+    fn update<E: Exec>(&mut self, e: &mut E, alpha: f64) {
+        self.task.gradient(e, self.batch, &self.w, &mut self.g);
+        e.axpy(-alpha, &self.g, &mut self.w);
     }
-    let outcome = RunOutcome::classify(diverged_at, stop.is_some() && !timed_out);
-    RunReport {
-        label,
-        device: DeviceKind::Gpu,
-        step_size: alpha,
-        trace,
-        opt_seconds: dev.elapsed_secs(),
-        timed_out,
-        metrics,
-        outcome,
-        best_model: None,
-    }
-}
 
-/// BIDMach-style synchronous GD with *modeled* CPU time (the paper's
-/// machine; same primitive parallelization rules as our implementation).
-fn sync_modeled<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    mc: &sgd_core::CpuModelConfig,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    let mut e = sgd_cpusim::CpuModelExec::new(mc.spec.clone(), mc.threads);
-    e.gemm_parallel_threshold = mc.gemm_parallel_threshold;
-    let mut eval = CpuExec::seq();
-    let mut w = task.init_model();
-    let mut g = vec![0.0; task.dim()];
-    let mut trace = LossTrace::new();
-    trace.push(0.0, task.loss(&mut eval, batch, &w));
-    let stop = opts.stop_loss();
-    let mut timed_out = stop.is_some();
-    let mut diverged_at = None;
-    let mut metrics = RunMetrics::default();
-    for epoch in 0..opts.max_epochs {
-        task.gradient(&mut e, batch, &w, &mut g);
-        sgd_linalg::Exec::axpy(&mut e, -alpha, &g, &mut w);
-        let loss = task.loss(&mut eval, batch, &w);
-        trace.push(e.elapsed_secs(), loss);
-        metrics.epochs.push(EpochMetrics::new(epoch + 1, e.elapsed_secs(), loss));
-        if !loss.is_finite() {
-            diverged_at = Some(epoch + 1);
-            break;
-        }
-        if stop.is_some_and(|s| loss <= s) {
-            timed_out = false;
-            break;
-        }
-        if e.elapsed_secs() > opts.max_secs {
-            break;
-        }
+    fn loss<E: Exec>(&self, e: &mut E) -> f64 {
+        self.task.loss(e, self.batch, &self.w)
     }
-    let outcome = RunOutcome::classify(diverged_at, stop.is_some() && !timed_out);
-    RunReport {
-        label: format!("BIDMach {} sync {} (modeled)", task.name(), mc.device().label()),
-        device: mc.device(),
-        step_size: alpha,
-        trace,
-        opt_seconds: e.elapsed_secs(),
-        timed_out,
-        metrics,
-        outcome,
-        best_model: None,
+
+    fn model(&self) -> &[Scalar] {
+        &self.w
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgd_core::Engine;
+    use sgd_core::{DeviceKind, Engine};
     use sgd_datagen::{generate, DatasetProfile, GenOptions};
     use sgd_models::{lr, Examples};
 

@@ -12,8 +12,14 @@
 //!   dense-optimized: sparse inputs run through the naive thread-per-row
 //!   layout instead of the coalescing-friendly warp-per-row one, which is
 //!   why its GPU speedup trails ours on sparse data (Fig. 8).
+//!
+//! Both run on the engine's epoch loop ([`sgd_core::EpochLoop`]) under the
+//! engine's protocol: the same divergence and explosion sentinel, plateau
+//! stop, budget and best model as an [`sgd_core::Engine`] run. Neither
+//! injects faults; `RunOptions::faults` is ignored.
 
 pub mod bidmach;
+mod step;
 pub mod tensorflow;
 pub mod tfgraph;
 
