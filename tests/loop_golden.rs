@@ -12,6 +12,11 @@
 //! Hogwild and Hogbatch, and `PerCore` / `PerNode { nodes: 2 }` at two
 //! threads, where each thread owns its replica.
 //!
+//! The last rows pair the clocks on one task each: Hogwild on dense rows
+//! with zero entries (wall and modeled at one thread, and the modeled
+//! round buffer at four), and Hogbatch at one thread (LR on `dense()`,
+//! the MLP on `dense()`), so a shared digest shows the two runners agree.
+//!
 //! `golden/comparator_golden.txt` pins the framework comparators the same
 //! way: BIDMach LR (sparse) and SVM (dense) and TensorFlow MLP 6-4-2
 //! (dense), each on modeled 1 and 4 threads, GPU-sim and cpu-seq.
@@ -35,6 +40,17 @@ fn sparse() -> (CsrMatrix, Vec<f64>) {
         (0..64).map(|i| vec![((i % 16) as u32, if i % 2 == 0 { 1.0 } else { -1.0 })]).collect();
     let y = (0..64).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
     (CsrMatrix::from_row_entries(64, 16, &entries), y)
+}
+
+/// Dense 64x6 with one or two zero entries a row (`-0.0` on the negative
+/// rows): an update's write set and its margin's sign of zero show.
+fn dense_zeros() -> (Matrix, Vec<f64>) {
+    let x = Matrix::from_fn(64, 6, |i, j| {
+        let s = if i % 2 == 0 { 1.0 } else { -1.0 };
+        s * ((i * 3 + j) % 5) as f64 / 4.0
+    });
+    let y = (0..64).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+    (x, y)
 }
 
 fn dense() -> (Matrix, Vec<f64>) {
@@ -145,20 +161,22 @@ fn corner<T: Task>(
 fn actual() -> String {
     let (xs, ys) = sparse();
     let (xd, yd) = dense();
+    let (xz, yz) = dense_zeros();
     let sparse = Batch::new(Examples::Sparse(&xs), &ys);
     let dense = Batch::new(Examples::Dense(&xd), &yd);
+    let zeros = Batch::new(Examples::Dense(&xz), &yz);
     let mlp = MlpTask::new(vec![6, 4, 2], 42);
     let hogbatch = || Strategy::Hogbatch { batch_size: 16 };
+    let modeled = |threads: usize, s: Strategy| {
+        let mc = CpuModelConfig::paper_machine(threads);
+        Configuration::new(mc.device(), s).with_timing(Timing::Modeled(mc))
+    };
     let mut out = String::new();
 
     for threads in [1usize, 4] {
-        let mc = CpuModelConfig::paper_machine(threads);
-        let modeled = |s: Strategy| {
-            Configuration::new(mc.device(), s).with_timing(Timing::Modeled(mc.clone()))
-        };
-        corner(&mut out, &modeled(Strategy::Sync), &lr(16), &sparse, 0.5, 4, true);
-        corner(&mut out, &modeled(Strategy::Hogwild), &lr(16), &sparse, 0.2, 4, true);
-        corner(&mut out, &modeled(hogbatch()), &lr(6), &dense, 0.2, 4, true);
+        corner(&mut out, &modeled(threads, Strategy::Sync), &lr(16), &sparse, 0.5, 4, true);
+        corner(&mut out, &modeled(threads, Strategy::Hogwild), &lr(16), &sparse, 0.2, 4, true);
+        corner(&mut out, &modeled(threads, hogbatch()), &lr(6), &dense, 0.2, 4, true);
     }
 
     let gpu = |s: Strategy| Configuration::new(DeviceKind::Gpu, s);
@@ -189,6 +207,13 @@ fn actual() -> String {
             }
         }
     }
+
+    corner(&mut out, &seq(Strategy::Hogwild), &lr(6), &zeros, 0.2, 1, false);
+    for threads in [1usize, 4] {
+        corner(&mut out, &modeled(threads, Strategy::Hogwild), &lr(6), &zeros, 0.2, 4, true);
+    }
+    corner(&mut out, &seq(hogbatch()), &lr(6), &dense, 0.2, 1, false);
+    corner(&mut out, &modeled(1, hogbatch()), &mlp, &dense, 0.5, 4, true);
     out
 }
 
