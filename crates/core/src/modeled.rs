@@ -11,6 +11,10 @@
 //! model as it stood when the round began — the standard analytical
 //! approximation of Hogwild's delayed reads. With one thread this is
 //! exactly sequential execution.
+//!
+//! Modeled Hogwild is only the caller of the one per-row update in
+//! `crate::hogwild`: it chunks the visit order into rounds, skips a dead
+//! lane's rows, and applies a round's queued writes when the round ends.
 
 use sgd_cpusim::{CpuModelExec, CpuSpec, HogwildCost};
 use sgd_linalg::{CpuExec, Exec, Scalar};
@@ -19,7 +23,7 @@ use sgd_models::{Batch, Examples, PointwiseLoss, Task};
 use crate::config::{DeviceKind, RunOptions};
 use crate::epoch_loop::{EpochLoop, Halt, ModelStep};
 use crate::faults::{FaultCounters, FaultPlan};
-use crate::hogwild::shuffled_order;
+use crate::hogwild::{shuffled_order, RoundBuffer, RowUpdate};
 use crate::metrics::{EpochMetrics, EpochObserver};
 use crate::report::RunReport;
 use crate::sync::SyncState;
@@ -99,92 +103,28 @@ pub(crate) fn sync_modeled_observed<T: Task>(
 }
 
 /// One bounded-staleness epoch for a linear task: rounds of `round`
-/// examples read the pre-round model, updates apply additively at round
-/// end. `round == 1` is exactly sequential incremental SGD.
-///
-/// The plan's faults are injected per example. Each lane of a round is one
-/// modeled worker: a dead lane's examples are skipped, stale reads come
-/// from the epoch-start model, corrupted steps are scaled, and dropped
-/// updates never land. Decisions hash on the example index, so the
-/// schedule is independent of the round size.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn staleness_epoch<L: PointwiseLoss + ?Sized>(
-    loss: &L,
-    batch: &Batch<'_>,
+/// examples read the pre-round model, and their writes land in order at
+/// round end. `round == 1` is exactly sequential incremental SGD. Each lane
+/// of a round is one modeled worker, and a dead lane's examples are
+/// skipped; the row update draws the other faults on the example index, so
+/// the schedule is independent of the round size.
+fn staleness_epoch<L: PointwiseLoss + ?Sized>(
+    cx: &RowUpdate<'_, L>,
     w: &mut [Scalar],
-    alpha: f64,
     order: &[u32],
     round: usize,
-    plan: &FaultPlan,
-    epoch: usize,
-    epoch_start: &[Scalar],
     fc: &mut FaultCounters,
 ) {
-    let round = round.max(1);
-    let mut pending: Vec<(u32, Scalar)> = Vec::with_capacity(round * 8);
-    for chunk in order.chunks(round) {
-        pending.clear();
-        for (lane, &i) in chunk.iter().enumerate() {
-            if plan.worker_dead(lane, epoch) {
-                continue;
-            }
-            let i = i as usize;
-            let stale = plan.stale_read(epoch, i);
-            if stale {
-                fc.stale_reads += 1;
-            }
-            let s = match batch.x {
-                Examples::Sparse(m) => {
-                    let row = m.row(i);
-                    let read = if stale { epoch_start } else { &*w };
-                    let margin: Scalar =
-                        row.cols.iter().zip(row.vals).map(|(&c, &v)| v * read[c as usize]).sum();
-                    loss.dloss_at(margin, batch.y[i])
-                }
-                Examples::Dense(m) => {
-                    let row = m.row(i);
-                    let read = if stale { epoch_start } else { &*w };
-                    let margin: Scalar = row.iter().zip(read.iter()).map(|(&v, &wj)| v * wj).sum();
-                    loss.dloss_at(margin, batch.y[i])
-                }
-            };
-            if s == 0.0 {
-                continue;
-            }
-            let mut step = -alpha * s;
-            if let Some(f) = plan.corrupt_factor(epoch, i) {
-                step *= f;
-                fc.corrupted_updates += 1;
-            }
-            if plan.drops_update(epoch, i) {
-                fc.dropped_updates += 1;
-                continue;
-            }
-            match batch.x {
-                Examples::Sparse(m) => {
-                    let row = m.row(i);
-                    if round == 1 {
-                        for (&c, &v) in row.cols.iter().zip(row.vals) {
-                            w[c as usize] += step * v;
-                        }
-                    } else {
-                        pending.extend(row.cols.iter().zip(row.vals).map(|(&c, &v)| (c, step * v)));
-                    }
-                }
-                Examples::Dense(m) => {
-                    let row = m.row(i);
-                    if round == 1 {
-                        for (j, &v) in row.iter().enumerate() {
-                            w[j] += step * v;
-                        }
-                    } else {
-                        pending.extend(row.iter().enumerate().map(|(j, &v)| (j as u32, step * v)));
-                    }
-                }
-            }
-        }
-        for &(c, d) in &pending {
-            w[c as usize] += d;
+    let mut writes = Vec::new();
+    for chunk in order.chunks(round.max(1)) {
+        let lanes =
+            chunk.iter().enumerate().filter(|&(lane, _)| !cx.plan.worker_dead(lane, cx.epoch));
+        let rows = lanes.map(|(_, &i)| i as usize);
+        if round <= 1 {
+            rows.for_each(|i| cx.apply(&mut *w, i, fc));
+        } else {
+            rows.for_each(|i| cx.apply(RoundBuffer { pre_round: w, writes: &mut writes }, i, fc));
+            writes.drain(..).for_each(|(j, d)| w[j as usize] += d);
         }
     }
 }
@@ -257,18 +197,8 @@ pub(crate) fn hogwild_modeled_observed<T: Task>(
         if plan.has_dead_worker(threads, epoch) {
             m.faults.dead_workers = 1;
         }
-        staleness_epoch(
-            loss_fn,
-            batch,
-            w,
-            alpha,
-            &order,
-            threads,
-            plan,
-            epoch,
-            &epoch_start,
-            &mut m.faults,
-        );
+        let cx = RowUpdate { loss: loss_fn, batch, alpha, plan, epoch, stale_model: &epoch_start };
+        staleness_epoch(&cx, w, &order, threads, &mut m.faults);
         Ok(clock.tick(plan, threads, m))
     };
     let id = EpochLoop {
@@ -395,7 +325,7 @@ mod tests {
     use super::*;
     use crate::engine::{Configuration, Engine, Strategy, Timing};
     use sgd_linalg::{CsrMatrix, Matrix};
-    use sgd_models::{lr, LinearLoss, MlpTask};
+    use sgd_models::{lr, LinearLoss, LogisticLoss, MlpTask};
 
     /// The modeled-time corner of `strategy` on the machine `mc` describes.
     fn modeled(strategy: Strategy, mc: &CpuModelConfig) -> Configuration {
@@ -474,28 +404,50 @@ mod tests {
         assert!(stale.best_loss() < 0.5 * l0);
     }
 
+    /// The shared inputs of an unfaulted epoch's row updates.
+    fn clean<'a>(b: &'a Batch<'a>, plan: &'a FaultPlan, alpha: f64) -> RowUpdate<'a, LogisticLoss> {
+        RowUpdate { loss: &LogisticLoss, batch: b, alpha, plan, epoch: 0, stale_model: &[] }
+    }
+
     #[test]
     fn staleness_round_one_is_exactly_incremental() {
         let (x, y) = sparse_data(128, 16);
         let b = Batch::new(Examples::Sparse(&x), &y);
-        let task = lr(16);
         let order = crate::hogwild::shuffled_order(128, 1);
-        let mut w1 = task.init_model();
-        let (plan, mut fc) = (FaultPlan::default(), FaultCounters::default());
-        staleness_epoch(task.pointwise(), &b, &mut w1, 0.3, &order, 1, &plan, 0, &[], &mut fc);
+        let (plan, mut w1) = (FaultPlan::default(), vec![0.0; 16]);
+        staleness_epoch(&clean(&b, &plan, 0.3), &mut w1, &order, 1, &mut Default::default());
         // Reference: plain incremental updates in the same order.
-        let mut w2 = task.init_model();
+        let mut w2: Vec<Scalar> = vec![0.0; 16];
         for &i in &order {
             let i = i as usize;
             let row = x.row(i);
-            let margin: Scalar =
-                row.cols.iter().zip(row.vals).map(|(&c, &v)| v * w2[c as usize]).sum();
-            let s = task.pointwise().dloss(margin, y[i]);
+            let margin =
+                row.cols.iter().zip(row.vals).fold(0.0, |m, (&c, &v)| m + v * w2[c as usize]);
+            let step = -0.3 * LogisticLoss.dloss(margin, y[i]);
             for (&c, &v) in row.cols.iter().zip(row.vals) {
-                w2[c as usize] += -0.3 * s * v;
+                w2[c as usize] += step * v;
             }
         }
-        assert!(sgd_linalg::approx_eq_slice(&w1, &w2, 1e-12));
+        assert!(w1.iter().zip(&w2).all(|(a, b)| a.to_bits() == b.to_bits()), "{w1:?} vs {w2:?}");
+    }
+
+    #[test]
+    fn a_round_reads_the_pre_round_model_and_lands_its_writes_in_order() {
+        // Two rows of one round both touch coordinate 0.
+        let x = CsrMatrix::from_row_entries(2, 2, &[vec![(0, 1.0), (1, 0.5)], vec![(0, -0.75)]]);
+        let y = [1.0, 1.0];
+        let (b, plan, w0) =
+            (Batch::new(Examples::Sparse(&x), &y), FaultPlan::default(), [0.1, 0.3]);
+        let cx = clean(&b, &plan, 0.7);
+        let mut w = w0;
+        staleness_epoch(&cx, &mut w, &[0, 1], 2, &mut Default::default());
+        // Both steps come from the pre-round margins, and row 0's write
+        // lands first.
+        let s0 = -0.7 * LogisticLoss.dloss(1.0 * w0[0] + 0.5 * w0[1], 1.0);
+        let s1 = -0.7 * LogisticLoss.dloss(-0.75 * w0[0], 1.0);
+        assert_eq!(w[0].to_bits(), (w0[0] + s0 * 1.0 + s1 * -0.75).to_bits());
+        assert_ne!(w[0].to_bits(), (w0[0] + s1 * -0.75 + s0 * 1.0).to_bits(), "order must show");
+        assert_eq!(w[1].to_bits(), (w0[1] + s0 * 0.5).to_bits());
     }
 
     #[test]

@@ -17,8 +17,8 @@ use sgd_models::{Batch, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
 use crate::epoch_loop::{EpochLoop, Halt, ModelStep};
-use crate::faults::FaultTally;
-use crate::hogwild::{hogwild_worker, shuffled_order};
+use crate::faults::{FaultCounters, FaultTally};
+use crate::hogwild::{shuffled_order, RowUpdate};
 use crate::metrics::{EpochMetrics, EpochObserver};
 use crate::modeled::batch_stats;
 use crate::report::RunReport;
@@ -115,11 +115,12 @@ pub(crate) fn replicated_observed<T: Task>(
         m.faults.dead_workers =
             (0..parts.len()).filter(|&t| plan.worker_dead(t, epoch)).count() as u64;
         let t0 = Instant::now();
-        let (stale, tally) = (&*avg, &tally);
+        let cx = RowUpdate { loss: loss_fn, batch, alpha, plan, epoch, stale_model: avg };
         run_workers(threads, parts.len(), |t| {
             if !plan.worker_dead(t, epoch) {
-                let model = &replicas[t % n_replicas];
-                hogwild_worker(loss_fn, batch, model, alpha, parts[t], plan, epoch, stale, tally);
+                let (model, mut fc) = (&replicas[t % n_replicas], FaultCounters::default());
+                parts[t].iter().for_each(|&i| cx.apply(model, i as usize, &mut fc));
+                tally.add(fc.dropped_updates, fc.stale_reads, fc.corrupted_updates);
             }
         });
         if n_replicas > 1 {
