@@ -161,7 +161,9 @@ pub(crate) fn run<U: SyncUpdate>(
     };
     let wall_par = matches!(cfg.timing, Timing::Wall) && device == DeviceKind::CpuPar;
     let mut step = Step { update, clock, alpha };
-    let drive = || id.run(&mut step, opts, &mut NullObserver);
+    // The whole run is at the kernel tier, as in `Engine::run`.
+    let drive =
+        || sgd_linalg::pool::with_tier(opts.tier, || id.run(&mut step, opts, &mut NullObserver));
     if wall_par {
         sgd_linalg::pool::with_threads(opts.threads, drive)
     } else {
